@@ -110,7 +110,9 @@ remainingMs(bool armed, DeadlineClock::time_point end)
 {
     if (!armed)
         return -1;
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+    // Rounded up: a sub-millisecond remainder must still poll, or a
+    // 1 ms budget would expire without ever looking at the fd.
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
         end - DeadlineClock::now());
     if (left.count() <= 0)
         return 0;

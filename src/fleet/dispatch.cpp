@@ -597,6 +597,12 @@ FleetDispatch::configFor(int worker) const
     return config;
 }
 
+const CampaignSpec&
+FleetDispatch::spec() const
+{
+    return impl_->spec;
+}
+
 std::string
 FleetDispatch::unitLabel(std::uint64_t u) const
 {

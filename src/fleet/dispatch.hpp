@@ -6,11 +6,10 @@
  * depend on *how* work units travel: the deterministic task plan and
  * its fingerprint, the unit queue, resume restore, checkpoint
  * flushing, per-cell tallies, per-scheme aggregates, requeue/poison
- * accounting, and result finalization. Transports — the forked-worker
- * pipe dispatcher (fleet/fleet.cpp) and the socket campaign service
- * (net/service.cpp) — are thin liaison loops over this surface:
- * claim a unit, round-trip it to a host, then settle it exactly once
- * via completeUnit / failUnit / requeueUnit.
+ * accounting, and result finalization. The one liaison
+ * (fleet/liaison.hpp) is a thin loop over this surface, whatever the
+ * host's channel: claim a unit, round-trip it to a host, then settle
+ * it exactly once via completeUnit / failUnit / requeueUnit.
  *
  * Settlement is idempotent by construction: every unit settles at
  * most once (a mutex-guarded per-unit flag), so a late or duplicated
@@ -122,6 +121,8 @@ class FleetDispatch
     std::uint64_t initialPendingUnits() const { return initial_pending_; }
     /** The config line payload for one worker/agent. */
     FleetConfig configFor(int worker) const;
+    /** The campaign spec (liveness budgets, deadlines). */
+    const CampaignSpec& spec() const;
     /** Human label of a unit's cell, e.g. "rs-dueh/two_bit_row". */
     std::string unitLabel(std::uint64_t u) const;
     ///@}
@@ -196,7 +197,7 @@ class FleetDispatch
     ///@{
 
     /**
-     * Register a host connection — a forked pipe worker, an
+     * Register a host connection — a forked worker, an
      * authenticated remote agent, or the in-process fallback. Call at
      * config-send time: the instant is captured on both the steady
      * and trace clocks and becomes the reference every span timestamp

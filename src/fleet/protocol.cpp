@@ -156,16 +156,16 @@ encodeUnitLine(const WorkUnit& unit)
     return w.str() + "\n";
 }
 
+namespace {
+
+/** The unit fields of an already parsed unit line. */
 Result<WorkUnit>
-decodeUnitLine(const std::string& line)
+unitFromJson(const JsonValue& root)
 {
-    Result<JsonValue> doc = parseLine(line, "unit");
-    if (!doc.ok())
-        return doc.status();
     WorkUnit out;
-    Result<std::uint64_t> unit = getUint(doc.value(), "unit");
-    Result<std::uint64_t> first = getUint(doc.value(), "first");
-    Result<std::uint64_t> count = getUint(doc.value(), "count");
+    Result<std::uint64_t> unit = getUint(root, "unit");
+    Result<std::uint64_t> first = getUint(root, "first");
+    Result<std::uint64_t> count = getUint(root, "count");
     if (!unit.ok())
         return unit.status();
     if (!first.ok())
@@ -178,6 +178,17 @@ decodeUnitLine(const std::string& line)
     if (out.task_count == 0)
         return Status::dataLoss("fleet unit: empty task range");
     return out;
+}
+
+} // namespace
+
+Result<WorkUnit>
+decodeUnitLine(const std::string& line)
+{
+    Result<JsonValue> doc = parseLine(line, "unit");
+    if (!doc.ok())
+        return doc.status();
+    return unitFromJson(doc.value());
 }
 
 std::string
@@ -399,7 +410,7 @@ decodeServerLine(const std::string& line)
     }
     if (type == "unit") {
         out.kind = ServerMessage::Kind::unit;
-        Result<WorkUnit> unit = decodeUnitLine(line);
+        Result<WorkUnit> unit = unitFromJson(doc.value());
         if (!unit.ok())
             return unit.status();
         out.unit = unit.value();
@@ -468,8 +479,8 @@ decodeWorkerLine(const std::string& line)
     }
     if (type == "heartbeat") {
         out.kind = WorkerMessage::Kind::heartbeat;
-        // Optional worker clock sample (absent on the pipe transport
-        // and on lines from pre-PR-10 agents).
+        // Optional worker clock sample (absent on lines from older
+        // workers).
         if (root.get("now_us").ok()) {
             Result<std::uint64_t> now = getUint(root, "now_us");
             if (!now.ok())

@@ -1,8 +1,8 @@
 /**
  * @file
- * Fleet wire protocol: newline-delimited JSON over worker pipes.
+ * Fleet wire protocol: newline-delimited JSON over a host's channel.
  *
- * The dispatcher and its forked workers speak three line kinds. The
+ * The dispatcher and its workers speak three core line kinds. The
  * parent sends one *config* line (the full campaign plan identity:
  * schemes, patterns, samples, seed, effective chunk, fingerprint,
  * codec backend) followed by *unit* lines naming contiguous shard-task
@@ -15,12 +15,12 @@
  * (scheme, pattern) cell gracefully, a worker_error retires the whole
  * worker and requeues its unit.
  *
- * The socket transport (src/net) speaks the same lines plus a small
- * session layer: a challenge → auth → welcome handshake (HMAC over a
- * server nonce proves both sides hold the shared secret before any
- * plan data moves), *heartbeat* lines in both directions (liveness —
- * a host whose heartbeats stop is retired and its unit requeued), and
- * a *shutdown* line for graceful drain. Every line is bounded by
+ * A small session layer rides along on every channel: *heartbeat*
+ * lines (liveness — a host whose heartbeats stop is retired and its
+ * unit requeued) and a *shutdown* line for graceful drain. The socket
+ * transport (src/net) adds a challenge → auth → welcome handshake
+ * (HMAC over a server nonce proves both sides hold the shared secret
+ * before any plan data moves). Every line is bounded by
  * kMaxWireLineBytes at the parser; an oversized line is a structured
  * dataLoss, never unbounded buffer growth.
  */
@@ -99,7 +99,7 @@ struct WorkerMessage
         result,       //!< unit completed; checkpoint holds tallies
         unit_error,   //!< unit's cell failed persistently (message)
         worker_error, //!< worker unusable; message says why
-        heartbeat,    //!< liveness beacon (socket transport only)
+        heartbeat,    //!< liveness beacon
         telemetry,    //!< metrics delta + finished spans (PR 10)
     };
 
@@ -122,10 +122,8 @@ struct WorkerMessage
 };
 
 /**
- * One parsed parent → worker line on the socket transport, where the
- * stream carries session-layer lines interleaved with work units.
- * (The pipe transport sends only unit lines and signals completion by
- * closing the pipe, so the plain decodeUnitLine path still serves it.)
+ * One parsed parent → worker line: a work unit or a session-layer
+ * line interleaved with them.
  */
 struct ServerMessage
 {
@@ -169,7 +167,7 @@ std::string encodeAuthLine(const std::string& agent,
 std::string encodeWelcomeLine(int worker, const std::string& mac_hex);
 std::string encodeAuthErrorLine(const std::string& message);
 /** `now_us` is the worker-relative clock sample used for clock-offset
-    refinement; 0 (the pipe transport) means "no sample". */
+    refinement; 0 means "no sample". */
 std::string encodeHeartbeatLine(int worker, std::uint64_t now_us = 0);
 std::string encodeTelemetryLine(const WorkerMessage& telemetry);
 std::string encodeShutdownLine();

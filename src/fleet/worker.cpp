@@ -115,6 +115,15 @@ serveFleetUnits(const FleetConfig& cfg, LineReader& in,
         return write_line(line);
     };
 
+    // Beat from config receipt on, so the plan rebuild below is
+    // already covered by the dispatcher's liveness budget. A failed
+    // beat is not fatal here — the read loop surfaces the broken
+    // stream on its next pass. The beat carries this host's clock so
+    // every heartbeat doubles as a clock-offset sample.
+    const Heartbeat heartbeat(opts.heartbeat_interval_ms, [&] {
+        send(encodeHeartbeatLine(cfg.worker, microsSince(config_at)));
+    });
+
     // Setup failures travel back as a worker_error line so the
     // dispatcher can log *why* instead of just seeing a hangup.
     const auto bail = [&](const std::string& message) {
@@ -160,19 +169,6 @@ serveFleetUnits(const FleetConfig& cfg, LineReader& in,
                     cfg.fingerprint + "\n  worker: " + fingerprint);
     }
 
-    std::unique_ptr<Heartbeat> heartbeat;
-    if (opts.heartbeats) {
-        heartbeat = std::make_unique<Heartbeat>(
-            opts.heartbeat_interval_ms, [&] {
-                // A failed beat is not fatal here — the read loop
-                // surfaces the broken stream on its next pass. The
-                // beat carries this host's clock so every heartbeat
-                // doubles as a clock-offset sample.
-                send(encodeHeartbeatLine(cfg.worker,
-                                         microsSince(config_at)));
-            });
-    }
-
     ShardBatchArena arena;
     std::uint64_t units_done = 0;
 
@@ -193,27 +189,16 @@ serveFleetUnits(const FleetConfig& cfg, LineReader& in,
         if (!line.ok())
             return ServeEnd::protocol;
 
-        WorkUnit unit;
-        if (opts.session_lines) {
-            Result<ServerMessage> decoded =
-                decodeServerLine(line.value());
-            if (!decoded.ok()) {
-                bail(decoded.status().toString());
-                return ServeEnd::protocol;
-            }
-            if (decoded.value().kind == ServerMessage::Kind::heartbeat)
-                continue; // liveness only; the read itself sufficed
-            if (decoded.value().kind == ServerMessage::Kind::shutdown)
-                return ServeEnd::shutdown;
-            unit = decoded.value().unit;
-        } else {
-            Result<WorkUnit> decoded = decodeUnitLine(line.value());
-            if (!decoded.ok()) {
-                bail(decoded.status().toString());
-                return ServeEnd::protocol;
-            }
-            unit = decoded.value();
+        Result<ServerMessage> decoded = decodeServerLine(line.value());
+        if (!decoded.ok()) {
+            bail(decoded.status().toString());
+            return ServeEnd::protocol;
         }
+        if (decoded.value().kind == ServerMessage::Kind::heartbeat)
+            continue; // liveness only; the read itself sufficed
+        if (decoded.value().kind == ServerMessage::Kind::shutdown)
+            return ServeEnd::shutdown;
+        const WorkUnit& unit = decoded.value().unit;
         if (unit.first_task + unit.task_count > tasks.size()) {
             bail("unit " + std::to_string(unit.unit) +
                  " is outside the plan");
@@ -303,7 +288,7 @@ serveFleetUnits(const FleetConfig& cfg, LineReader& in,
 }
 
 int
-fleetWorkerMain(int read_fd, int write_fd)
+fleetWorkerMain(int read_fd, int write_fd, int heartbeat_interval_ms)
 {
     LineReader in(read_fd, kMaxWireLineBytes);
 
@@ -319,7 +304,8 @@ fleetWorkerMain(int read_fd, int write_fd)
         return kWorkerSetupExit;
     }
 
-    const ServeOptions opts; // pipe mode: EOF shutdown, no beats
+    ServeOptions opts;
+    opts.heartbeat_interval_ms = heartbeat_interval_ms;
     switch (serveFleetUnits(
         config.value(), in,
         [write_fd](const std::string& line) {

@@ -24,7 +24,11 @@ namespace fleet = sim::fleet;
 
 namespace {
 
-/** Budget for each handshake step (mirrors the server's). */
+/**
+ * Budget for each handshake step: twice the server's 5 s. An agent may
+ * connect while the server is still building its plan, and then waits
+ * in the listen backlog for the challenge until accepting begins.
+ */
 constexpr int kHandshakeMs = 10000;
 
 /** Sleep @p seconds in small slices, bailing on interrupt. */
@@ -121,8 +125,6 @@ serveOnce(const FleetAgentOptions& opts, const std::string& name,
     const int io_ms = std::max(
         1, static_cast<int>(opts.io_timeout_s * 1000.0));
     fleet::ServeOptions serve;
-    serve.session_lines = true;
-    serve.heartbeats = true;
     serve.heartbeat_interval_ms = std::max(
         1, static_cast<int>(opts.heartbeat_interval_s * 1000.0));
     serve.read_deadline_ms = io_ms;

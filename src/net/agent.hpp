@@ -5,8 +5,8 @@
  * An agent connects to a running fleet campaign service,
  * authenticates with the shared secret (mutually — it refuses to
  * serve a listener that cannot prove it holds the secret too), and
- * then serves work units with the same loop as a forked pipe worker,
- * plus heartbeats and a read deadline so a dead server is detected.
+ * then serves work units with the same loop as a forked worker, plus
+ * a read deadline so a dead server is detected.
  *
  * Connection loss is normal life, not an error: the agent reconnects
  * with exponential backoff (reset after every successful handshake)

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,13 +13,12 @@
 #include "common/log.hpp"
 #include "common/subprocess.hpp"
 #include "fleet/dispatch.hpp"
-#include "fleet/pipe.hpp"
+#include "fleet/liaison.hpp"
 #include "fleet/protocol.hpp"
 #include "net/auth.hpp"
 #include "net/obs_http.hpp"
 #include "net/wire.hpp"
 #include "obs/exposition.hpp"
-#include "sim/chaos.hpp"
 #include "sim/report.hpp"
 
 namespace gpuecc::net {
@@ -34,7 +32,7 @@ using Clock = std::chrono::steady_clock;
 /** Budget for each handshake step (a connect is cheap to retry). */
 constexpr int kHandshakeMs = 5000;
 
-/** Idle poll slice: accept loop and idle liaisons wake this often. */
+/** Accept poll slice: the lifecycle loop wakes this often. */
 constexpr int kPollMs = 200;
 
 int
@@ -45,15 +43,6 @@ elapsedMs(Clock::time_point since)
             Clock::now() - since)
             .count());
 }
-
-/** One authenticated agent connection and its liaison state. */
-struct RemoteHost
-{
-    int fd = -1;
-    std::unique_ptr<LineReader> reader;
-    obs::FleetWorkerRecord record;
-    std::thread thread;
-};
 
 /** The /status document: one DispatchStatus snapshot as JSON. */
 std::string
@@ -152,29 +141,105 @@ renderMetricsText(const fleet::DispatchStatus& s)
     return obs::renderPrometheusText(samples);
 }
 
+/** An accepted connection as a host: worker index @p worker, socket
+    lines through the chaos-aware sender. */
+std::unique_ptr<fleet::Host>
+agentHost(int fd, int worker)
+{
+    auto host = std::make_unique<fleet::Host>();
+    host->record.worker = worker;
+    host->record.remote = true;
+    host->reader =
+        std::make_unique<LineReader>(fd, fleet::kMaxWireLineBytes);
+    host->write_line = [fd](const std::string& line, int deadline_ms) {
+        return sendWireLine(fd, line, deadline_ms);
+    };
+    host->hang_up = [fd](bool) mutable {
+        closeFd(fd);
+        return 0;
+    };
+    return host;
+}
+
+/**
+ * Challenge-response handshake on a fresh agent host, then its config
+ * line. Fills the record's agent name; a failed proof is
+ * failedPrecondition.
+ */
+Status
+handshake(fleet::FleetDispatch& dispatch, const std::string& secret,
+          fleet::Host& host)
+{
+    const std::string nonce = makeNonceHex();
+    if (Status s = host.write_line(fleet::encodeChallengeLine(nonce),
+                                   kHandshakeMs);
+        !s.ok())
+        return s;
+    Result<std::string> line = host.reader->readLine(kHandshakeMs);
+    if (!line.ok())
+        return line.status();
+    Result<fleet::AuthRequest> auth = fleet::decodeAuthLine(line.value());
+    if (!auth.ok())
+        return auth.status();
+    if (!constantTimeEquals(
+            auth.value().mac,
+            agentMac(secret, nonce, auth.value().agent))) {
+        (void)host.write_line(
+            fleet::encodeAuthErrorLine("authentication failed"), 1000);
+        return Status::failedPrecondition("agent '" + auth.value().agent +
+                                          "' failed authentication");
+    }
+    host.record.agent = auth.value().agent;
+    const int worker = host.record.worker;
+    if (Status s = host.write_line(
+            fleet::encodeWelcomeLine(worker, serverMac(secret, nonce)),
+            kHandshakeMs);
+        !s.ok())
+        return s;
+    if (Status s = host.write_line(
+            fleet::encodeConfigLine(dispatch.configFor(worker)),
+            kHandshakeMs);
+        !s.ok())
+        return s;
+    // Registration is the clock-rebasing reference: the host's
+    // telemetry timestamps count from its config receipt, which
+    // happened within one network hop of right now.
+    dispatch.registerHost(worker, host.record.agent, true);
+    return Status{};
+}
+
 } // namespace
 
 Result<std::unique_ptr<FleetService>>
 FleetService::create(const sim::CampaignSpec& spec)
 {
-    if (!socketsSupported() || !subprocessSupported()) {
-        return Status::unavailable(
-            "the fleet service needs sockets and fork/pipe, which "
-            "this platform lacks; run without --fleet-listen");
-    }
-    Result<SocketAddress> address =
-        parseSocketAddress(spec.fleet_listen);
-    if (!address.ok())
-        return address.status();
-    Result<TcpListener> listener = TcpListener::listen(address.value());
-    if (!listener.ok())
-        return listener.status();
     auto service = std::unique_ptr<FleetService>(new FleetService());
     service->spec_ = spec;
-    service->listener_ = std::move(listener.value());
+    if (spec.fleet_listen.empty()) {
+        if (!subprocessSupported()) {
+            return Status::unavailable(
+                "fleet mode needs fork/pipe, which this platform lacks; "
+                "run without --fleet-workers");
+        }
+    } else {
+        if (!socketsSupported() || !subprocessSupported()) {
+            return Status::unavailable(
+                "the fleet service needs sockets and fork/pipe, which "
+                "this platform lacks; run without --fleet-listen");
+        }
+        Result<SocketAddress> address =
+            parseSocketAddress(spec.fleet_listen);
+        if (!address.ok())
+            return address.status();
+        Result<TcpListener> listener =
+            TcpListener::listen(address.value());
+        if (!listener.ok())
+            return listener.status();
+        service->listener_ = std::move(listener.value());
+    }
     // The observability endpoint binds here too, so callers can learn
     // obsPort() before run() — and so its fd exists before the local
-    // standby fork and can go on the children's close list.
+    // workers fork and can go on the children's close list.
     if (!spec.obs_listen.empty()) {
         Result<SocketAddress> obs_address =
             parseSocketAddress(spec.obs_listen);
@@ -211,22 +276,25 @@ FleetService::run()
     if (!created.ok())
         return created.status();
     fleet::FleetDispatch& dispatch = *created.value();
+    const bool listening = listener_.fd() >= 0;
 
-    // The service always drains on SIGTERM/SIGINT: in-flight units
-    // are requeued, agents get shutdown lines, the partial result is
-    // reported. (The in-process runner installs these only when
-    // checkpointing; a network service should never die mid-write.)
+    // A network service always drains on SIGTERM/SIGINT: in-flight
+    // units are requeued, hosts get shutdown lines, the partial result
+    // is reported. A local-only run, like the in-process runner, gets
+    // these only when checkpointing (FleetDispatch::create installs
+    // them then).
     ignoreSigpipe();
-    installInterruptHandlers();
+    if (listening)
+        installInterruptHandlers();
 
     // ---- Fork phase -------------------------------------------------
-    // Local standby workers fork now, while the process is still
-    // single-threaded; they sit blocked on their config'd pipes until
+    // Local workers fork now, while the process is still
+    // single-threaded. Without a listener they are the fleet; with one
+    // they are the standby rung, beating on their config'd pipes until
     // the degradation ladder engages them (or never, if agents carry
-    // the campaign). The listening socket must not leak into them.
-    // The observability endpoint (bound in create()) serves nothing
-    // until the campaign threads exist, but its fd must go on the
-    // children's close list.
+    // the campaign). Neither the listening socket nor the
+    // observability endpoint (bound in create(), serving nothing until
+    // the campaign threads exist) may leak into them.
     const std::uint64_t pending = dispatch.initialPendingUnits();
     const int local_count =
         pending == 0 ? 0
@@ -234,15 +302,14 @@ FleetService::run()
                            static_cast<std::uint64_t>(
                                spec_.fleet_workers),
                            pending));
-    std::vector<std::unique_ptr<fleet::PipeWorker>> locals;
-    std::vector<int> inherited_fds = {listener_.fd()};
+    std::vector<int> inherited_fds;
+    if (listening)
+        inherited_fds.push_back(listener_.fd());
     if (obs_server_)
         inherited_fds.push_back(obs_server_->fd());
-    for (int w = 0; w < local_count; ++w) {
-        auto worker = std::make_unique<fleet::PipeWorker>();
-        fleet::spawnPipeWorker(dispatch, *worker, w, inherited_fds);
-        locals.push_back(std::move(worker));
-    }
+    std::vector<std::unique_ptr<fleet::Host>> locals;
+    for (int w = 0; w < local_count; ++w)
+        locals.push_back(fleet::forkWorkerHost(dispatch, w, inherited_fds));
 
     // Threads are safe from here on.
     dispatch.start();
@@ -262,276 +329,39 @@ FleetService::run()
         });
     }
 
-    const int unit_deadline_ms =
-        spec_.fleet_worker_timeout_s > 0
-            ? static_cast<int>(spec_.fleet_worker_timeout_s * 1000.0)
-            : -1;
-    const int heartbeat_ms = std::max(
-        1, static_cast<int>(spec_.fleet_heartbeat_timeout_s * 1000.0));
-    const int grace_ms = std::max(
-        0, static_cast<int>(spec_.fleet_grace_s * 1000.0));
-
     std::atomic<int> active_remote{0};
     std::atomic<int> active_local{0};
-    std::atomic<bool> draining{false};
-
-    // Retire a remote host: requeue nothing here — callers requeue
-    // the in-flight unit first, with the specific reason.
-    const auto loseHost = [&](RemoteHost& H, const std::string& why) {
-        warn("fleet: losing agent '" + H.record.agent + "' (worker " +
-             std::to_string(H.record.worker) + "): " + why);
-        closeFd(H.fd);
-        H.record.lost = true;
-        dispatch.noteWorkerLost();
+    const auto engage = [&dispatch](fleet::Host& host,
+                                    std::atomic<int>& active) {
+        active.fetch_add(1);
+        host.thread = std::thread([&dispatch, &host, &active] {
+            fleet::runLiaison(dispatch, host);
+            active.fetch_sub(1);
+        });
     };
-
-    const auto sendShutdown = [&](RemoteHost& H) {
-        // Best-effort: a host that is already gone just fails the
-        // write, which is fine — we are hanging up either way.
-        (void)sendWireLine(H.fd, fleet::encodeShutdownLine(), 1000);
-        closeFd(H.fd);
-    };
-
-    // One liaison thread per authenticated agent. Mirrors the pipe
-    // liaison, plus the session layer: heartbeats refresh a liveness
-    // deadline, silence retires the host, results for units settled
-    // elsewhere are discarded as duplicates.
-    const auto runRemoteLiaison = [&](RemoteHost& H) {
-        auto last_heard = Clock::now();
-
-        // Read one line while idle or awaiting, watching liveness.
-        // Returns false when the host was lost (liaison must end).
-        const auto classifyDead = [&](const Status& st,
-                                      std::uint64_t* in_flight,
-                                      bool* dead) {
-            *dead = true;
-            if (isDeadlineExpired(st)) {
-                if (elapsedMs(last_heard) < heartbeat_ms) {
-                    *dead = false; // still within its liveness budget
-                    return;
-                }
-                dispatch.noteHeartbeatExpiry();
-                if (in_flight != nullptr)
-                    dispatch.requeueUnit(*in_flight,
-                                         "agent heartbeats stopped");
-                loseHost(H, "heartbeats stopped");
-                return;
-            }
-            if (in_flight != nullptr)
-                dispatch.requeueUnit(*in_flight, st.toString());
-            loseHost(H, st.toString());
-        };
-
-        for (;;) {
-            if (interruptRequested() || draining.load() ||
-                dispatch.allSettled()) {
-                sendShutdown(H);
-                break;
-            }
-            std::uint64_t u = 0;
-            if (!dispatch.tryClaim(u)) {
-                // Nothing to hand out right now (the last units are
-                // in flight elsewhere): drain heartbeats and stray
-                // telemetry, watch for silence, stay subscribed.
-                Result<std::string> line = H.reader->readLine(kPollMs);
-                if (line.ok()) {
-                    last_heard = Clock::now();
-                    Result<fleet::WorkerMessage> idle =
-                        fleet::decodeWorkerLine(line.value());
-                    if (idle.ok()) {
-                        if (idle.value().kind ==
-                            fleet::WorkerMessage::Kind::telemetry)
-                            dispatch.absorbTelemetry(idle.value());
-                        else if (idle.value().kind ==
-                                 fleet::WorkerMessage::Kind::heartbeat)
-                            dispatch.noteHeartbeat(
-                                idle.value().worker,
-                                idle.value().now_us);
-                    }
-                    continue;
-                }
-                bool dead = false;
-                classifyDead(line.status(), nullptr, &dead);
-                if (dead)
-                    return;
-                continue;
-            }
-
-            const fleet::WorkUnit& unit = dispatch.unit(u);
-            dispatch.noteUnitDispatched(u, H.record.worker);
-            const auto dispatch_at = Clock::now();
-            if (Status sent = sendWireLine(
-                    H.fd, fleet::encodeUnitLine(unit), heartbeat_ms);
-                !sent.ok()) {
-                dispatch.requeueUnit(u, sent.toString());
-                loseHost(H, sent.toString());
-                return;
-            }
-
-            for (;;) { // await this unit's settlement
-                if (interruptRequested() || draining.load()) {
-                    dispatch.requeueUnit(
-                        u, "graceful drain with the unit in flight");
-                    sendShutdown(H);
-                    return;
-                }
-                if (unit_deadline_ms > 0 &&
-                    elapsedMs(dispatch_at) >= unit_deadline_ms) {
-                    dispatch.noteWorkerTimeout();
-                    dispatch.requeueUnit(u, "unit round-trip deadline");
-                    loseHost(H, "unit " + std::to_string(u) +
-                                    " exceeded its round-trip "
-                                    "deadline");
-                    return;
-                }
-                int slice = kPollMs;
-                if (unit_deadline_ms > 0) {
-                    slice = std::min(
-                        slice, std::max(1, unit_deadline_ms -
-                                               elapsedMs(dispatch_at)));
-                }
-                Result<std::string> line = H.reader->readLine(slice);
-                if (!line.ok()) {
-                    bool dead = false;
-                    classifyDead(line.status(), &u, &dead);
-                    if (dead)
-                        return;
-                    continue;
-                }
-                last_heard = Clock::now();
-                Result<fleet::WorkerMessage> decoded =
-                    fleet::decodeWorkerLine(line.value());
-                if (!decoded.ok()) {
-                    // Garbage on an authenticated stream: treat the
-                    // host as corrupt, not the campaign.
-                    dispatch.requeueUnit(u,
-                                         decoded.status().toString());
-                    loseHost(H, decoded.status().toString());
-                    return;
-                }
-                const fleet::WorkerMessage& msg = decoded.value();
-                if (msg.kind ==
-                    fleet::WorkerMessage::Kind::heartbeat) {
-                    dispatch.noteHeartbeat(msg.worker, msg.now_us);
-                    continue;
-                }
-                if (msg.kind ==
-                    fleet::WorkerMessage::Kind::telemetry) {
-                    // Shipped ahead of the settlement it accompanies;
-                    // merge and keep awaiting.
-                    dispatch.absorbTelemetry(msg);
-                    continue;
-                }
-                if (msg.kind ==
-                    fleet::WorkerMessage::Kind::worker_error) {
-                    dispatch.requeueUnit(u, msg.message);
-                    loseHost(H, msg.message);
-                    return;
-                }
-                if (msg.kind ==
-                    fleet::WorkerMessage::Kind::unit_error) {
-                    dispatch.failUnit(msg.unit, msg.message);
-                    if (msg.unit == u)
-                        break;
-                    continue;
-                }
-                // A result line. It may name a unit other than the
-                // one in flight — a replayed or duplicated delivery
-                // for a unit that settled elsewhere. completeUnit
-                // discards those idempotently (fleet.duplicate_results).
-                if (msg.unit >= dispatch.unitCount()) {
-                    dispatch.requeueUnit(u, "result names unknown unit " +
-                                                std::to_string(msg.unit));
-                    loseHost(H, "result for unknown unit");
-                    return;
-                }
-                if (Status valid =
-                        dispatch.validateResult(msg.unit, msg);
-                    !valid.ok()) {
-                    dispatch.requeueUnit(u, valid.toString());
-                    loseHost(H, valid.toString());
-                    return;
-                }
-                const auto done_at = Clock::now();
-                if (dispatch.completeUnit(msg.unit, msg, dispatch_at,
-                                          done_at) &&
-                    msg.unit == u) {
-                    H.record.units += 1;
-                    H.record.shards += unit.task_count;
-                    for (const sim::CheckpointEntry& e :
-                         msg.checkpoint.done)
-                        H.record.trials += e.counts.trials;
-                    H.record.busy_seconds +=
-                        static_cast<double>(msg.busy_us) * 1e-6;
-                }
-                if (msg.unit == u)
-                    break;
+    // Start a liaison for every forked worker that has none yet.
+    const auto engageLocals = [&] {
+        int engaged = 0;
+        for (auto& local : locals) {
+            if (local->reader && !local->thread.joinable()) {
+                engage(*local, active_local);
+                ++engaged;
             }
         }
-    };
-
-    // Challenge-response handshake on a fresh connection; fills the
-    // host's record (worker index, agent name) and primes its reader.
-    const auto handshake = [&](int fd,
-                               RemoteHost& H) -> Status {
-        H.fd = fd;
-        H.reader = std::make_unique<LineReader>(
-            fd, fleet::kMaxWireLineBytes);
-        const std::string nonce = makeNonceHex();
-        if (Status s = sendWireLine(
-                fd, fleet::encodeChallengeLine(nonce), kHandshakeMs);
-            !s.ok())
-            return s;
-        Result<std::string> line = H.reader->readLine(kHandshakeMs);
-        if (!line.ok())
-            return line.status();
-        Result<fleet::AuthRequest> auth =
-            fleet::decodeAuthLine(line.value());
-        if (!auth.ok())
-            return auth.status();
-        if (!constantTimeEquals(
-                auth.value().mac,
-                agentMac(spec_.fleet_secret, nonce,
-                         auth.value().agent))) {
-            (void)sendWireLine(
-                fd,
-                fleet::encodeAuthErrorLine("authentication failed"),
-                1000);
-            return Status::failedPrecondition(
-                "agent '" + auth.value().agent +
-                "' failed authentication");
-        }
-        H.record.agent = auth.value().agent;
-        H.record.remote = true;
-        if (Status s = sendWireLine(
-                fd,
-                fleet::encodeWelcomeLine(
-                    H.record.worker,
-                    serverMac(spec_.fleet_secret, nonce)),
-                kHandshakeMs);
-            !s.ok())
-            return s;
-        if (Status s = sendWireLine(
-                fd,
-                fleet::encodeConfigLine(
-                    dispatch.configFor(H.record.worker)),
-                kHandshakeMs);
-            !s.ok())
-            return s;
-        // Registration is the clock-rebasing reference: the host's
-        // telemetry timestamps count from its config receipt, which
-        // happened within one network hop of right now.
-        dispatch.registerHost(H.record.worker, H.record.agent, true);
-        return Status{};
+        return engaged;
     };
 
     // ---- Accept / lifecycle loop ------------------------------------
-    std::vector<std::unique_ptr<RemoteHost>> hosts;
+    const int grace_ms = std::max(
+        0, static_cast<int>(spec_.fleet_grace_s * 1000.0));
+    std::vector<std::unique_ptr<fleet::Host>> agents;
     int agent_seq = 0;
-    bool locals_engaged = false;
+    bool locals_engaged = !listening;
+    if (!listening)
+        engageLocals();
     auto last_activity = Clock::now();
 
-    while (pending != 0) {
+    while (listening && pending != 0) {
         if (interruptRequested() || dispatch.allSettled())
             break;
 
@@ -543,22 +373,7 @@ FleetService::run()
             if (!locals_engaged) {
                 locals_engaged = true;
                 last_activity = Clock::now();
-                int engaged = 0;
-                for (auto& worker : locals) {
-                    if (!worker->spawned)
-                        continue;
-                    active_local.fetch_add(1);
-                    ++engaged;
-                    worker->thread = std::thread(
-                        [&dispatch, &active_local,
-                         unit_deadline_ms](fleet::PipeWorker& w) {
-                            fleet::runPipeLiaison(dispatch, w,
-                                                  unit_deadline_ms);
-                            active_local.fetch_sub(1);
-                        },
-                        std::ref(*worker));
-                }
-                if (engaged > 0) {
+                if (const int engaged = engageLocals(); engaged > 0) {
                     warn("fleet: no agent connected for " +
                          std::to_string(grace_ms / 1000) +
                          "s; engaging " + std::to_string(engaged) +
@@ -582,41 +397,36 @@ FleetService::run()
             break;
         }
 
-        auto host = std::make_unique<RemoteHost>();
-        host->record.worker = spec_.fleet_workers + agent_seq;
-        if (Status s = handshake(accepted.value(), *host); !s.ok()) {
+        std::unique_ptr<fleet::Host> agent = agentHost(
+            accepted.value(), spec_.fleet_workers + agent_seq);
+        if (Status s = handshake(dispatch, spec_.fleet_secret, *agent);
+            !s.ok()) {
             if (s.code() == ErrorCode::failedPrecondition)
                 dispatch.noteAuthFailure();
             warn("fleet: rejecting connection: " + s.toString());
-            closeFd(host->fd);
+            agent->hang_up(true);
             continue;
         }
         ++agent_seq;
         last_activity = Clock::now();
         dispatch.noteAgentConnected();
-        active_remote.fetch_add(1);
-        RemoteHost& H = *host;
-        H.thread = std::thread([&runRemoteLiaison, &active_remote,
-                                &H]() {
-            runRemoteLiaison(H);
-            active_remote.fetch_sub(1);
-        });
-        hosts.push_back(std::move(host));
+        engage(*agent, active_remote);
+        agents.push_back(std::move(agent));
     }
 
     // ---- Drain ------------------------------------------------------
-    draining.store(true);
     listener_.close();
-    for (auto& host : hosts) {
+    // Standby workers the ladder never engaged still owe a shutdown
+    // line and a reap: their liaisons find the campaign settled or
+    // draining and hang up at once. After an accept failure they join
+    // the hosts still serving instead.
+    engageLocals();
+    for (auto& host : locals) {
         if (host->thread.joinable())
             host->thread.join();
     }
-    for (auto& worker : locals) {
-        if (worker->thread.joinable())
-            worker->thread.join();
-    }
-    for (auto& worker : locals)
-        fleet::reapPipeWorker(*worker);
+    for (auto& host : agents)
+        host->thread.join();
 
     // Last rung: whatever is still pending runs right here. A no-op
     // when the campaign settled or an interrupt asked us to stop.
@@ -628,9 +438,9 @@ FleetService::run()
         obs_server_->stop();
 
     std::vector<obs::FleetWorkerRecord> records;
-    for (const auto& worker : locals)
-        records.push_back(worker->record);
-    for (const auto& host : hosts)
+    for (const auto& host : locals)
+        records.push_back(host->record);
+    for (const auto& host : agents)
         records.push_back(host->record);
     // Count before the move: argument evaluation order is unspecified,
     // so records.size() inside the call could see the moved-out vector.

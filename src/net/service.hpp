@@ -1,20 +1,25 @@
 /**
  * @file
- * Failure-hardened multi-host fleet campaign service.
+ * Failure-hardened fleet campaign service: the one fleet entry point.
  *
- * FleetService runs a campaign as a TCP server: it binds
- * spec.fleet_listen, streams the fleet wire protocol to remote agent
- * processes (tools/fleet_agent) that connect, and merges their
- * checkpoint-format results through the same FleetDispatch core as
- * the pipe transport — so the tallies and the CSV report are
- * bit-identical to an in-process run of the same spec, no matter how
- * hosts come and go.
+ * FleetService runs a fleet campaign over forked local workers,
+ * remote agent processes (tools/fleet_agent), or both, and merges
+ * their checkpoint-format results through one FleetDispatch core and
+ * one liaison per host (fleet/liaison.hpp) — so the tallies and the
+ * CSV report are bit-identical to an in-process run of the same spec,
+ * no matter how hosts come and go.
  *
- * Liveness and failure model:
- *  - Every connection is authenticated with an HMAC challenge-response
- *    over spec.fleet_secret before any plan data moves (net/auth.hpp);
- *    a failed proof is rejected and counted (fleet.auth_failures).
- *  - Agents heartbeat while evaluating; a host silent past
+ * Without spec.fleet_listen it binds nothing: the spec.fleet_workers
+ * forked workers are engaged at once and carry the campaign. With a
+ * listen address it also streams the fleet wire protocol to agents
+ * that connect, and the forked workers become a standby rung.
+ *
+ * Liveness and failure model (every host kind alike):
+ *  - Every agent connection is authenticated with an HMAC
+ *    challenge-response over spec.fleet_secret before any plan data
+ *    moves (net/auth.hpp); a failed proof is rejected and counted
+ *    (fleet.auth_failures).
+ *  - Hosts heartbeat while evaluating; a host silent past
  *    spec.fleet_heartbeat_timeout_s is retired and its in-flight unit
  *    requeued (fleet.heartbeat_expiries). An optional per-unit
  *    round-trip deadline (spec.fleet_worker_timeout_s) catches hosts
@@ -23,12 +28,12 @@
  *    unit is retired into the report instead of cycling forever.
  *  - Degradation ladder: when no agent is connected for
  *    spec.fleet_grace_s, the service engages its local standby forked
- *    workers (spec.fleet_workers of them); when those are gone too,
- *    it finishes the remaining units in-process. The campaign
- *    completes unless interrupted.
+ *    workers; when those are gone too, it finishes the remaining
+ *    units in-process. The campaign completes unless interrupted.
  *  - SIGTERM/SIGINT drain gracefully: in-flight units are requeued
- *    into the final checkpoint, agents get shutdown lines, and the
- *    partial result is reported — same contract as the pipe transport.
+ *    into the final checkpoint, hosts get shutdown lines, and the
+ *    partial result is reported. A listening service always installs
+ *    the handlers; a local-only run only when checkpointing.
  */
 
 #ifndef GPUECC_NET_SERVICE_HPP
@@ -48,18 +53,20 @@ class FleetService
 {
   public:
     /**
-     * Validate the spec and bind the listener (spec.fleet_listen,
-     * port 0 for an ephemeral port). Binding before run() lets a
-     * caller learn port() first and point agents at it — tests and
-     * scripts launch agents before the campaign plan finishes
-     * building, and the connects simply wait in the backlog.
+     * Validate the platform and bind the listener (spec.fleet_listen,
+     * port 0 for an ephemeral port; none when it is empty). Binding
+     * before run() lets a caller learn port() first and point agents
+     * at it — tests and scripts launch agents before the campaign
+     * plan finishes building, and the connects simply wait in the
+     * backlog.
      */
     static Result<std::unique_ptr<FleetService>>
     create(const sim::CampaignSpec& spec);
 
     ~FleetService();
 
-    /** The bound port (the ephemeral one when the spec said 0). */
+    /** The bound port (the ephemeral one when the spec said 0; 0
+        without a listener). */
     int port() const { return listener_.port(); }
 
     /**
@@ -72,8 +79,8 @@ class FleetService
 
     /**
      * Run the campaign to completion (or interrupt). Call once, while
-     * the process is single-threaded — local standby workers are
-     * forked inside. Returns the merged campaign result; errors are
+     * the process is single-threaded — local workers are forked
+     * inside. Returns the merged campaign result; errors are
      * unrecoverable setup problems only.
      */
     Result<sim::CampaignResult> run();

@@ -9,12 +9,11 @@
 
 #include "common/codec_mode.hpp"
 #include "common/interrupt.hpp"
-#include "fleet/fleet.hpp"
-#include "net/service.hpp"
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
 #include "ecc/registry.hpp"
 #include "faultsim/shard.hpp"
+#include "net/service.hpp"
 #include "obs/trace.hpp"
 #include "sim/chaos.hpp"
 #include "sim/checkpoint.hpp"
@@ -212,15 +211,12 @@ Result<CampaignResult>
 CampaignRunner::tryRun() const
 {
     // Fleet mode forks worker processes and must do so before this
-    // process spawns any threads — the fleet dispatcher owns that
+    // process spawns any threads — the fleet service owns that
     // ordering, so hand over before the pool (or progress reporter)
-    // exists. A listen address selects the multi-host socket service
-    // (with --fleet-workers as its local standby rung); plain
-    // --fleet-workers selects the single-host pipe transport.
-    if (!spec_.fleet_listen.empty())
+    // exists. A listen address adds remote agents, with
+    // --fleet-workers as the local standby rung.
+    if (spec_.fleet_workers > 0 || !spec_.fleet_listen.empty())
         return net::runFleetService(spec_);
-    if (spec_.fleet_workers > 0)
-        return fleet::runFleetCampaign(spec_);
 
     const CampaignMetricIds& mid = campaignMetricIds();
     obs::MetricsRegistry& reg = obs::metrics();

@@ -298,6 +298,34 @@ TEST(Fleet, HungWorkerTripsTheUnitDeadline)
     expectCellsIdentical(reference, fleet);
 }
 
+TEST(Fleet, SilentWorkerTripsTheHeartbeatDeadline)
+{
+    sim::CampaignSpec spec = smallSpec();
+    const sim::CampaignResult reference =
+        sim::CampaignRunner(spec).run();
+
+    // Worker 0 hangs on its first unit with its heartbeats silenced,
+    // and no round-trip deadline is set: only the liveness rule every
+    // host shares can catch it.
+    sim::ChaosSpec chaos;
+    chaos.fleet_stall_worker = 0;
+    chaos.fleet_stall_after = 0;
+    sim::setChaosSpec(chaos);
+    spec.fleet_workers = 2;
+    spec.fleet_heartbeat_timeout_s = 1.0;
+    spec.fleet_worker_timeout_s = 0.0;
+    const sim::CampaignResult fleet =
+        sim::CampaignRunner(spec).run();
+    sim::clearChaosSpec();
+
+    EXPECT_GE(fleet.fleet.heartbeat_expiries, 1u);
+    EXPECT_GE(fleet.fleet.requeues, 1u);
+    ASSERT_EQ(fleet.fleet.worker_records.size(), 2u);
+    EXPECT_TRUE(fleet.fleet.worker_records[0].lost);
+    EXPECT_TRUE(fleet.errors.empty());
+    expectCellsIdentical(reference, fleet);
+}
+
 TEST(Fleet, ResumesFromInterruptedFleetCheckpoint)
 {
     const std::string path = tempPath("gpuecc_fleet_resume_ck.json");

@@ -433,6 +433,64 @@ reapAgent(ChildProcess& agent)
     return code.ok() ? code.value() : -1;
 }
 
+/**
+ * Fork a hand-rolled agent: it passes the handshake like a real one,
+ * then answers its first unit with a unit_error naming @p bogus_unit —
+ * a faulty authenticated host. Exits 0 once the server hangs up on it.
+ */
+ChildProcess
+forkBogusUnitAgent(int port, const std::string& secret,
+                   std::uint64_t bogus_unit, std::vector<int>& inherited)
+{
+    auto spawned = spawnChild(
+        [=](int, int) {
+            Result<int> fd = net::connectTcp({"127.0.0.1", port});
+            if (!fd.ok())
+                return 10;
+            const int sock = fd.value();
+            LineReader reader(sock, sim::fleet::kMaxWireLineBytes);
+            const auto next = [&reader]() {
+                Result<std::string> line = reader.readLine(10000);
+                return line.ok() ? line.value() : std::string();
+            };
+            Result<std::string> nonce =
+                sim::fleet::decodeChallengeLine(next());
+            if (!nonce.ok())
+                return 11;
+            const std::string name = "bogus";
+            (void)writeAllFd(
+                sock, sim::fleet::encodeAuthLine(
+                          name, net::agentMac(secret, nonce.value(), name)));
+            Result<sim::fleet::Welcome> welcome =
+                sim::fleet::decodeWelcomeLine(next());
+            if (!welcome.ok() ||
+                !sim::fleet::decodeConfigLine(next()).ok())
+                return 12;
+            Result<sim::fleet::ServerMessage> unit =
+                sim::fleet::decodeServerLine(next());
+            if (!unit.ok() ||
+                unit.value().kind != sim::fleet::ServerMessage::Kind::unit)
+                return 13;
+            (void)writeAllFd(sock, sim::fleet::encodeUnitErrorLine(
+                                       bogus_unit, welcome.value().worker,
+                                       "bogus unit index"));
+            for (;;) { // until the server hangs up
+                Result<std::string> line = reader.readLine(10000);
+                if (!line.ok())
+                    return line.status().code() == ErrorCode::notFound
+                               ? 0
+                               : 14;
+            }
+        },
+        inherited);
+    EXPECT_TRUE(spawned.ok()) << spawned.status().toString();
+    if (!spawned.ok())
+        return {};
+    inherited.push_back(spawned.value().to_child);
+    inherited.push_back(spawned.value().from_child);
+    return spawned.value();
+}
+
 TEST(FleetService, LoopbackAgentsProduceBitIdenticalTallies)
 {
     if (!netTestsSupported())
@@ -550,6 +608,41 @@ TEST(FleetService, SilentAgentTripsHeartbeatExpiryAndIsRetired)
     EXPECT_GE(r.fleet.heartbeat_expiries, 1u);
     EXPECT_GE(r.fleet.requeues, 1u);
     EXPECT_EQ(r.fleet.workers_lost, 1u);
+    EXPECT_TRUE(r.errors.empty());
+    expectCellsIdentical(reference, r);
+}
+
+TEST(FleetService, UnknownUnitIndexRetiresTheHost)
+{
+    if (!netTestsSupported())
+        GTEST_SKIP() << "sockets/fork unavailable";
+    const sim::CampaignResult reference =
+        sim::CampaignRunner(smallSpec()).run();
+
+    const sim::CampaignSpec spec = serviceSpec();
+    auto service = net::FleetService::create(spec);
+    ASSERT_TRUE(service.ok()) << service.status().toString();
+    // Forked first so it is accepted, and handed a unit, first. Its
+    // unit_error names a unit far outside the plan; the server must
+    // reject the index instead of settling it, requeue the unit in
+    // flight and retire the host. The honest agent finishes the run.
+    std::vector<int> inherited;
+    ChildProcess bogus = forkBogusUnitAgent(service.value()->port(),
+                                            spec.fleet_secret,
+                                            std::uint64_t{1} << 40,
+                                            inherited);
+    ChildProcess honest = forkAgent(service.value()->port(),
+                                    spec.fleet_secret, "honest",
+                                    inherited);
+
+    const auto result = service.value()->run();
+    ASSERT_TRUE(result.ok()) << result.status().toString();
+    EXPECT_EQ(reapAgent(bogus), 0);
+    EXPECT_EQ(reapAgent(honest), 0);
+
+    const sim::CampaignResult& r = result.value();
+    EXPECT_GE(r.fleet.workers_lost, 1u);
+    EXPECT_GE(r.fleet.requeues, 1u);
     EXPECT_TRUE(r.errors.empty());
     expectCellsIdentical(reference, r);
 }
