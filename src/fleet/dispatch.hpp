@@ -3,10 +3,11 @@
  * Transport-independent fleet dispatch core.
  *
  * FleetDispatch owns everything about a fleet campaign that does not
- * depend on *how* work units travel: the deterministic task plan and
- * its fingerprint, the unit queue, resume restore, checkpoint
- * flushing, per-cell tallies, per-scheme aggregates, requeue/poison
- * accounting, and result finalization. The one liaison
+ * depend on *how* work units travel: the units cut from the shared
+ * campaign plan (sim/plan.hpp, which also holds the fingerprint,
+ * checkpoint flushing and the end-of-run step), the unit queue,
+ * unit-level resume, per-cell tallies, requeue/poison accounting, and
+ * result finalization. The one liaison
  * (fleet/liaison.hpp) is a thin loop over this surface, whatever the
  * host's channel: claim a unit, round-trip it to a host, then settle
  * it exactly once via completeUnit / failUnit / requeueUnit.
@@ -149,7 +150,7 @@ class FleetDispatch
     /**
      * Validate a decoded result message against the dispatched unit
      * and the plan (fingerprint, entry range, per-entry tallies) —
-     * the same validator checkpoint resume uses.
+     * the same CampaignPlan::checkEntry checkpoint resume uses.
      */
     Status validateResult(std::uint64_t u,
                           const WorkerMessage& msg) const;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -13,40 +12,18 @@
 
 #include "common/codec_mode.hpp"
 #include "common/status.hpp"
-#include "ecc/registry.hpp"
-#include "faultsim/shard.hpp"
 #include "obs/metrics.hpp"
 #include "sim/chaos.hpp"
-#include "sim/checkpoint.hpp"
+#include "sim/plan.hpp"
 
 namespace gpuecc::sim::fleet {
 
 namespace {
 
-/** One plan entry: a shard of one (scheme, pattern) cell. */
-struct WorkerTask
-{
-    std::size_t scheme;
-    Shard shard;
-};
-
 std::uint64_t
 microsSince(std::chrono::steady_clock::time_point origin)
 {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - origin)
-            .count());
-}
-
-std::uint64_t
-microsBetween(std::chrono::steady_clock::time_point origin,
-              std::chrono::steady_clock::time_point at)
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            at - origin)
-            .count());
+    return microsBetween(origin, std::chrono::steady_clock::now());
 }
 
 /**
@@ -135,38 +112,25 @@ serveFleetUnits(const FleetConfig& cfg, LineReader& in,
                         ? CodecBackend::reference
                         : CodecBackend::compiled);
 
-    // The dispatcher resolved these same ids before sending the
-    // config, so a failure here is a genuine environment fault, not a
-    // planning error.
-    std::vector<std::shared_ptr<EntryScheme>> schemes;
-    std::vector<GoldenEntry> goldens;
-    for (const std::string& id : cfg.scheme_ids) {
-        Result<std::shared_ptr<EntryScheme>> scheme = findScheme(id);
-        if (!scheme.ok()) {
-            return bail("scheme " + id + ": " +
-                        scheme.status().toString());
-        }
-        schemes.push_back(scheme.value());
-        goldens.push_back(makeGolden(*schemes.back(), cfg.seed));
+    // Rebuild the plan as the dispatcher did and prove it with the
+    // fingerprint: a unit's task indices are only meaningful against
+    // an identical plan. The dispatcher resolved these same ids before
+    // sending the config, so a scheme failing here is a genuine
+    // environment fault, not a planning error.
+    Result<CampaignPlan> built =
+        CampaignPlan::build("fleet", cfg.scheme_ids, cfg.patterns,
+                            cfg.samples, cfg.seed, cfg.chunk);
+    if (!built.ok())
+        return bail(built.status().toString());
+    const CampaignPlan& plan = built.value();
+    if (!plan.skipped().empty()) {
+        const CampaignError& skipped = plan.skipped().front();
+        return bail("scheme " + skipped.scheme_id + ": " +
+                    skipped.message);
     }
-
-    // Rebuild the plan exactly as the dispatcher did (same loops, same
-    // order) and prove it with the fingerprint: a unit's task indices
-    // are only meaningful against an identical plan.
-    std::vector<WorkerTask> tasks;
-    for (std::size_t s = 0; s < schemes.size(); ++s) {
-        for (ErrorPattern p : cfg.patterns) {
-            for (const Shard& shard :
-                 planShards(p, cfg.samples, cfg.chunk))
-                tasks.push_back({s, shard});
-        }
-    }
-    const std::string fingerprint = campaignFingerprint(
-        cfg.scheme_ids, cfg.patterns, cfg.samples, cfg.seed, cfg.chunk,
-        codecBackendName(), tasks.size());
-    if (fingerprint != cfg.fingerprint) {
+    if (plan.fingerprint() != cfg.fingerprint) {
         return bail("plan fingerprint mismatch\n  parent: " +
-                    cfg.fingerprint + "\n  worker: " + fingerprint);
+                    cfg.fingerprint + "\n  worker: " + plan.fingerprint());
     }
 
     ShardBatchArena arena;
@@ -199,7 +163,7 @@ serveFleetUnits(const FleetConfig& cfg, LineReader& in,
         if (decoded.value().kind == ServerMessage::Kind::shutdown)
             return ServeEnd::shutdown;
         const WorkUnit& unit = decoded.value().unit;
-        if (unit.first_task + unit.task_count > tasks.size()) {
+        if (unit.first_task + unit.task_count > plan.tasks().size()) {
             bail("unit " + std::to_string(unit.unit) +
                  " is outside the plan");
             return ServeEnd::protocol;
@@ -212,36 +176,13 @@ serveFleetUnits(const FleetConfig& cfg, LineReader& in,
         WorkerMessage result;
         result.unit = unit.unit;
         result.worker = cfg.worker;
-        result.checkpoint.fingerprint = fingerprint;
-        result.checkpoint.done.reserve(unit.task_count);
+        result.checkpoint.fingerprint = plan.fingerprint();
         const auto unit_start = std::chrono::steady_clock::now();
-        std::string failure;
-        for (std::uint64_t i = unit.first_task;
-             i < unit.first_task + unit.task_count; ++i) {
-            const WorkerTask& t = tasks[i];
-            OutcomeCounts counts;
-            try {
-                chaosOnTaskAttempt(i);
-                counts = evaluateShardBatched(*schemes[t.scheme],
-                                              goldens[t.scheme],
-                                              cfg.seed, t.shard, arena);
-            } catch (const std::exception& first) {
-                // Same contract as the in-process runner: one retry,
-                // then the *cell* fails, not the worker.
-                try {
-                    chaosOnTaskAttempt(i);
-                    counts = evaluateShardBatched(*schemes[t.scheme],
-                                                  goldens[t.scheme],
-                                                  cfg.seed, t.shard,
-                                                  arena);
-                } catch (const std::exception& second) {
-                    failure = "shard task " + std::to_string(i) +
-                              " failed twice: " + second.what();
-                    break;
-                }
-            }
-            result.checkpoint.done.push_back({i, counts});
-        }
+        // Same contract as the in-process runner: one retry, then the
+        // *cell* fails, not the worker.
+        const Status evaluated =
+            plan.evaluateRange(unit.first_task, unit.task_count, arena,
+                               result.checkpoint.done);
         result.busy_us = microsSince(unit_start);
         ++units_done;
 
@@ -264,7 +205,7 @@ serveFleetUnits(const FleetConfig& cfg, LineReader& in,
                 if (c.value > 0)
                     telemetry.counters.emplace_back(c.name, c.value);
             }
-            if (failure.empty()) {
+            if (evaluated.ok()) {
                 SpanRecord span;
                 span.name = "unit " + std::to_string(unit.unit);
                 span.cat = "fleet";
@@ -279,9 +220,9 @@ serveFleetUnits(const FleetConfig& cfg, LineReader& in,
         }
 
         const std::string reply =
-            failure.empty()
-                ? encodeResultLine(result)
-                : encodeUnitErrorLine(unit.unit, cfg.worker, failure);
+            evaluated.ok() ? encodeResultLine(result)
+                           : encodeUnitErrorLine(unit.unit, cfg.worker,
+                                                 evaluated.message());
         if (!send(reply).ok())
             return ServeEnd::protocol;
     }

@@ -76,12 +76,12 @@ class ProgressReporter
     /** True when a render thread is live. */
     bool enabled() const { return enabled_; }
 
-    /** Record one finished shard worth @p trials samples. */
-    void shardDone(std::uint64_t trials)
+    /** Record @p shards finished shards worth @p trials samples. */
+    void shardDone(std::uint64_t trials, std::uint64_t shards = 1)
     {
         if (!enabled_)
             return;
-        shards_done_.fetch_add(1, std::memory_order_relaxed);
+        shards_done_.fetch_add(shards, std::memory_order_relaxed);
         trials_done_.fetch_add(trials, std::memory_order_relaxed);
     }
 

@@ -106,8 +106,9 @@ Status saveCheckpoint(const std::string& path,
  * file doesn't exist, dataLoss when it doesn't parse, has the wrong
  * version, holds counters that overflow 64 bits or don't sum
  * (trials == dce + due + sdc), or repeats a task index. Plan-level
- * validation (index range, per-task trial widths) happens in the
- * runner, which knows the task list.
+ * validation (fingerprint, index range, per-task trial widths) is
+ * CampaignPlan::resumeEntries (sim/plan.hpp), which knows the task
+ * list.
  */
 Result<CampaignCheckpoint> loadCheckpoint(const std::string& path);
 

@@ -10,6 +10,7 @@
 #include "fleet/protocol.hpp"
 #include "sim/campaign.hpp"
 #include "sim/chaos.hpp"
+#include "sim/checkpoint.hpp"
 
 namespace gpuecc {
 namespace {
@@ -354,6 +355,123 @@ TEST(Fleet, ResumesFromInterruptedFleetCheckpoint)
         sim::CampaignRunner(spec).run();
     EXPECT_FALSE(resumed.interrupted);
     EXPECT_GT(resumed.resumed_shards, 0u);
+    expectCellsIdentical(reference, resumed);
+    std::remove(path.c_str());
+}
+
+TEST(Fleet, ShardRetryIsCountedOnItsHost)
+{
+    sim::CampaignSpec spec = smallSpec();
+    const sim::CampaignResult reference =
+        sim::CampaignRunner(spec).run();
+
+    // Task 3 throws once inside whichever worker evaluates it; the
+    // shared retry step re-runs it there and counts the retry.
+    sim::ChaosSpec chaos;
+    chaos.task_fault = 3;
+    chaos.task_fault_count = 1;
+    sim::setChaosSpec(chaos);
+    spec.fleet_workers = 2;
+    const sim::CampaignResult fleet =
+        sim::CampaignRunner(spec).run();
+    sim::clearChaosSpec();
+
+    EXPECT_TRUE(fleet.errors.empty());
+    expectCellsIdentical(reference, fleet);
+    const std::string prefix = "fleet.host.";
+    const std::string suffix = ".campaign.shard_retries";
+    std::uint64_t retries = 0;
+    for (const obs::CounterValue& c : fleet.metrics.counters) {
+        if (c.name.size() > prefix.size() + suffix.size() &&
+            c.name.compare(0, prefix.size(), prefix) == 0 &&
+            c.name.compare(c.name.size() - suffix.size(),
+                           suffix.size(), suffix) == 0)
+            retries += c.value;
+    }
+    EXPECT_EQ(retries, 1u);
+}
+
+/**
+ * A spec whose effective chunk is 2048 both in-process on one thread
+ * and on a 2-worker fleet (20000 samples over 2 x 4 unit slots leave
+ * 2 blocks each), so both modes share one plan and one fingerprint.
+ */
+sim::CampaignSpec
+crossModeSpec()
+{
+    sim::CampaignSpec spec = smallSpec();
+    spec.chunk = 2048;
+    return spec;
+}
+
+TEST(Fleet, InProcessCheckpointResumesInFleetMode)
+{
+    const std::string path = tempPath("gpuecc_cross_to_fleet_ck.json");
+    std::remove(path.c_str());
+
+    sim::CampaignSpec spec = crossModeSpec();
+    const sim::CampaignResult reference =
+        sim::CampaignRunner(spec).run();
+
+    // Interrupt a single-threaded in-process run after 7 tasks: the
+    // checkpoint then ends inside a 4-task work unit.
+    sim::ChaosSpec chaos;
+    chaos.kill_after = 7;
+    sim::setChaosSpec(chaos);
+    spec.checkpoint_path = path;
+    spec.checkpoint_interval_s = 0;
+    const sim::CampaignResult interrupted =
+        sim::CampaignRunner(spec).run();
+    sim::clearChaosSpec();
+    clearInterrupt(); // the simulated SIGTERM latches until cleared
+    ASSERT_TRUE(interrupted.interrupted);
+    const Result<sim::CampaignCheckpoint> written =
+        sim::loadCheckpoint(path);
+    ASSERT_TRUE(written.ok());
+
+    // Resume it on the fleet: whole units restore, the partly covered
+    // one is re-dispatched, and the tallies match an unbroken run.
+    spec.fleet_workers = 2;
+    spec.resume = true;
+    const sim::CampaignResult resumed =
+        sim::CampaignRunner(spec).run();
+    EXPECT_FALSE(resumed.interrupted);
+    EXPECT_TRUE(resumed.errors.empty());
+    EXPECT_GT(resumed.resumed_shards, 0u);
+    EXPECT_LT(resumed.resumed_shards, written.value().done.size());
+    expectCellsIdentical(reference, resumed);
+    std::remove(path.c_str());
+}
+
+TEST(Fleet, FleetCheckpointResumesInProcess)
+{
+    const std::string path = tempPath("gpuecc_cross_to_local_ck.json");
+    std::remove(path.c_str());
+
+    sim::CampaignSpec spec = crossModeSpec();
+    const sim::CampaignResult reference =
+        sim::CampaignRunner(spec).run();
+
+    sim::ChaosSpec chaos;
+    chaos.kill_after = 9;
+    sim::setChaosSpec(chaos);
+    spec.fleet_workers = 2;
+    spec.checkpoint_path = path;
+    spec.checkpoint_interval_s = 0;
+    const sim::CampaignResult interrupted =
+        sim::CampaignRunner(spec).run();
+    sim::clearChaosSpec();
+    clearInterrupt();
+    ASSERT_TRUE(interrupted.interrupted);
+
+    spec.fleet_workers = 0;
+    spec.resume = true;
+    const sim::CampaignResult resumed =
+        sim::CampaignRunner(spec).run();
+    EXPECT_FALSE(resumed.interrupted);
+    EXPECT_TRUE(resumed.errors.empty());
+    EXPECT_GT(resumed.resumed_shards, 0u);
+    EXPECT_LT(resumed.resumed_shards, resumed.shards);
     expectCellsIdentical(reference, resumed);
     std::remove(path.c_str());
 }
