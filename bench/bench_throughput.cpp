@@ -213,10 +213,9 @@ main(int argc, char** argv)
     codecs.print();
 
     // Error-mask sampling: sampleErrorMask is the scalar front-end
-    // that feeds the batched decoders, and the pin/byte/beat/entry
-    // shapes redraw until the mask classifies as requested — so the
-    // rejection rate (and the rate per pattern) is a tracked number
-    // before anyone optimizes the loop.
+    // that feeds the batched decoders. The table reports masks/s per
+    // pattern, including the redraws of the pin/byte/beat/entry shapes
+    // that must classify as requested.
     TextTable sampling({"pattern", "sample M/s"});
     json.key("mask_sampling").beginArray();
     {

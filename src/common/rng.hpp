@@ -12,6 +12,7 @@
 #ifndef GPUECC_COMMON_RNG_HPP
 #define GPUECC_COMMON_RNG_HPP
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -29,8 +30,23 @@ class Rng
     /** Construct from a 64-bit seed (expanded via SplitMix64). */
     explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
 
-    /** Next raw 64-bit value. */
-    std::uint64_t next64();
+    /**
+     * Next raw 64-bit value. Defined inline: the error-mask sampler
+     * spends one call per region bit.
+     */
+    std::uint64_t
+    next64()
+    {
+        const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform integer in [0, bound) using Lemire's method; bound > 0. */
     std::uint64_t nextBounded(std::uint64_t bound);

@@ -1,5 +1,7 @@
 #include "faultsim/patterns.hpp"
 
+#include <algorithm>
+
 #include "common/bitops.hpp"
 #include "common/log.hpp"
 #include "interleave/swizzle.hpp"
@@ -44,6 +46,39 @@ patternInfo(ErrorPattern p)
     panic("patternInfo: unknown pattern");
 }
 
+namespace {
+
+/** The pin, byte and beat regions of an entry as bit masks. */
+struct RegionMasks
+{
+    std::array<Bits288, layout::num_pins> pin;
+    std::array<Bits288, layout::num_bytes> byte;
+    std::array<Bits288, layout::num_beats> beat;
+};
+
+constexpr RegionMasks
+makeRegionMasks()
+{
+    RegionMasks r;
+    for (int phys = 0; phys < layout::entry_bits; ++phys) {
+        r.pin[layout::pinOf(phys)].set(phys, 1);
+        r.byte[layout::byteOf(phys)].set(phys, 1);
+        r.beat[layout::beatOf(phys)].set(phys, 1);
+    }
+    return r;
+}
+
+constexpr RegionMasks regions = makeRegionMasks();
+
+/** Whether every set bit of `mask` lies inside `region`. */
+bool
+within(const Bits288& mask, const Bits288& region)
+{
+    return (mask & region) == mask;
+}
+
+} // namespace
+
 ErrorPattern
 classifyErrorMask(const Bits288& mask)
 {
@@ -52,49 +87,56 @@ classifyErrorMask(const Bits288& mask)
     if (bits == 1)
         return ErrorPattern::oneBit;
 
-    bool same_pin = true;
-    bool same_byte = true;
-    bool same_beat = true;
-    int first = -1;
-    mask.forEachSetBit([&](int phys) {
-        if (first < 0) {
-            first = phys;
-            return;
-        }
-        if (layout::pinOf(phys) != layout::pinOf(first))
-            same_pin = false;
-        if (layout::byteOf(phys) != layout::byteOf(first))
-            same_byte = false;
-        if (layout::beatOf(phys) != layout::beatOf(first))
-            same_beat = false;
-    });
+    // All set bits share a pin (byte, beat) exactly when the mask lies
+    // inside the pin (byte, beat) region of its lowest set bit.
+    const int first = mask.lowestSetBit();
 
     // Priority order per Table 1: easier shapes win.
-    if (same_pin)
+    if (within(mask, regions.pin[layout::pinOf(first)]))
         return ErrorPattern::onePin;
-    if (same_byte)
+    if (within(mask, regions.byte[layout::byteOf(first)]))
         return ErrorPattern::oneByte;
     if (bits == 2)
         return ErrorPattern::twoBits;
     if (bits == 3)
         return ErrorPattern::threeBits;
-    if (same_beat)
+    if (within(mask, regions.beat[layout::beatOf(first)]))
         return ErrorPattern::oneBeat;
     return ErrorPattern::wholeEntry;
 }
 
 namespace {
 
+/**
+ * `n` (at most 64) fair coin flips packed LSB-first, one next64() per
+ * flip. Rng::nextBool(0.5) is `(next64() >> 11) * 2^-53 < 0.5`, which
+ * holds exactly when bit 63 of next64() is clear; so bit i here is the
+ * outcome of the i-th of n nextBool(0.5) calls, draw for draw.
+ */
+std::uint64_t
+coinFlips(Rng& rng, int n)
+{
+    std::uint64_t word = 0;
+    for (int i = 0; i < n; ++i)
+        word |= (~rng.next64() >> 63) << i;
+    return word;
+}
+
 /** Random corruption of a contiguous region, conditioned on shape. */
 Bits288
 sampleRegion(ErrorPattern target, int region_lo, int region_bits,
              Rng& rng)
 {
+    const int region_end = region_lo + region_bits;
     for (;;) {
         Bits288 mask;
-        for (int i = 0; i < region_bits; ++i) {
-            if (rng.nextBool(0.5))
-                mask.set(region_lo + i, 1);
+        // Region bits are drawn in ascending order, split where the
+        // region crosses a 64-bit word boundary.
+        for (int pos = region_lo; pos < region_end;) {
+            const int w = pos / 64;
+            const int n = std::min(64 - pos % 64, region_end - pos);
+            mask.setWord(w, mask.word(w) | (coinFlips(rng, n) << pos % 64));
+            pos += n;
         }
         if (!mask.none() && classifyErrorMask(mask) == target)
             return mask;
@@ -106,15 +148,16 @@ Bits288
 samplePin(Rng& rng)
 {
     const int pin = static_cast<int>(rng.nextBounded(layout::num_pins));
-    for (;;) {
-        Bits288 mask;
-        for (int beat = 0; beat < layout::num_beats; ++beat) {
-            if (rng.nextBool(0.5))
-                mask.set(layout::physicalIndex(beat, pin), 1);
-        }
-        if (mask.popcount() >= 2)
-            return mask;
+    std::uint64_t beats = 0;
+    do {
+        beats = coinFlips(rng, layout::num_beats);
+    } while (popcount64(beats) < 2);
+    Bits288 mask;
+    for (int beat = 0; beat < layout::num_beats; ++beat) {
+        if ((beats >> beat) & 1)
+            mask.set(layout::physicalIndex(beat, pin), 1);
     }
+    return mask;
 }
 
 } // namespace

@@ -256,5 +256,17 @@ TEST(Rng, ForStreamStatisticallyUniform)
     EXPECT_NEAR(stats.variance(), 1.0 / 12.0, 0.005);
 }
 
+TEST(Rng, FairCoinIsTopBitClear)
+{
+    // The error-mask sampler builds its region words from
+    // ~next64() >> 63 and relies on this being nextBool(0.5) draw for
+    // draw; a change to nextDouble or nextBool must not break that.
+    for (std::uint64_t seed : {1ull, 0x5EEDull, 0xC0FFEEull}) {
+        Rng a(seed), b(seed);
+        for (int i = 0; i < 1000000; ++i)
+            ASSERT_EQ(a.nextBool(0.5), !(b.next64() >> 63)) << i;
+    }
+}
+
 } // namespace
 } // namespace gpuecc
