@@ -196,6 +196,28 @@ class Bits
         }
     }
 
+    /**
+     * Visit each nonzero aligned byte in ascending order: one call
+     * per nonzero byte, so a sparse mask costs a few calls however
+     * wide it is.
+     *
+     * @param fn callable taking (byte index, byte value) as (int, unsigned).
+     */
+    template <typename Fn>
+    constexpr void
+    forEachNonzeroByte(Fn&& fn) const
+    {
+        for (int w = 0; w < numWords; ++w) {
+            std::uint64_t x = words_[w];
+            while (x) {
+                const int shift = std::countr_zero(x) & ~7;
+                fn(8 * w + shift / 8,
+                   static_cast<unsigned>((x >> shift) & 0xff));
+                x &= ~(std::uint64_t{0xff} << shift);
+            }
+        }
+    }
+
     /** Extract a contiguous bit field [pos, pos+len) as a uint64 (len <= 64). */
     constexpr std::uint64_t
     extract(int pos, int len) const

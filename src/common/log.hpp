@@ -145,6 +145,18 @@ require(bool cond, const std::string& msg)
         panic(msg);
 }
 
+/**
+ * The literal-message overload: the std::string is built only on
+ * failure, so a passing check on a hot path (gf256::dlog, the mask
+ * classifier, Rng::nextBounded) never touches the heap.
+ */
+inline void
+require(bool cond, const char* msg)
+{
+    if (!cond)
+        panic(msg);
+}
+
 } // namespace gpuecc
 
 #endif // GPUECC_COMMON_LOG_HPP

@@ -84,6 +84,21 @@ class BinaryEntryScheme : public EntryScheme
         codec_.decodeBatch(received, out, n);
     }
 
+    /** Error-domain classification on the compiled tables; the
+     *  inject/decode/compare default under GPUECC_REFERENCE_CODEC. */
+    void
+    classifyErrorBatch(const Bits288& codeword, const EntryData& data,
+                       const Bits288* errors, ErrorOutcome* out,
+                       std::size_t n) const override
+    {
+        if (useReferenceCodec()) {
+            EntryScheme::classifyErrorBatch(codeword, data, errors, out,
+                                            n);
+            return;
+        }
+        codec_.classifyErrorBatch(codeword, data, errors, out, n);
+    }
+
     /** The original per-codeword encode (the differential oracle). */
     Bits288 encodeReference(const EntryData& data) const;
 

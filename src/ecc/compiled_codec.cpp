@@ -5,35 +5,46 @@
 
 namespace gpuecc {
 
+namespace {
+
+std::shared_ptr<const Code72>
+nonNull(std::shared_ptr<const Code72> code)
+{
+    require(code != nullptr, "CompiledBinaryCodec needs a code");
+    return code;
+}
+
+} // namespace
+
 CompiledBinaryCodec::CompiledBinaryCodec(
     std::shared_ptr<const Code72> code, const EntryLayout& layout,
     Code72::Mode mode, bool csc)
-    : code_(std::move(code)), csc_(csc), gather_{}, fix_{}, enc_{}
+    : code_(nonNull(std::move(code))), csc_(csc),
+      syn_([&](int phys) {
+          const auto [cw, bit] = layout.logicalFor(phys);
+          return static_cast<std::uint32_t>(code_->columnSyndrome(bit))
+                 << (8 * cw);
+      }),
+      data_{}, fix_{}, enc_{}
 {
-    require(code_ != nullptr, "CompiledBinaryCodec needs a code");
-
-    // Gather tables: per-physical-bit syndrome and data-extraction
+    // Syndrome table (above) and data table: per-physical-bit
     // contributions, XOR-folded over each byte's 256 values with the
     // strip-lowest-bit dynamic program.
     for (int b = 0; b < layout::num_bytes; ++b) {
-        std::array<Gather, 8> col{};
+        std::array<std::array<std::uint64_t, 4>, 8> col{};
         for (int t = 0; t < 8; ++t) {
             const auto [cw, bit] = layout.logicalFor(8 * b + t);
-            col[t].syn = static_cast<std::uint32_t>(
-                             code_->columnSyndrome(bit))
-                         << (8 * cw);
-            if (bit < Code72::k)
-                col[t].data[cw] = bit64(bit);
+            if (bit < Code72::k) {
+                col[t][cw] = bit64(bit);
+                data_bits_.set(8 * b + t, 1);
+            }
         }
-        auto& row = gather_[b];
-        row[0] = Gather{};
+        auto& row = data_[b];
         for (int v = 1; v < 256; ++v) {
             const int low =
                 std::countr_zero(static_cast<unsigned>(v));
-            row[v] = row[v & (v - 1)];
-            row[v].syn ^= col[low].syn;
             for (int w = 0; w < 4; ++w)
-                row[v].data[w] ^= col[low].data[w];
+                row[v][w] = row[v & (v - 1)][w] ^ col[low][w];
         }
     }
 
@@ -89,25 +100,10 @@ CompiledBinaryCodec::encode(const EntryData& data) const
     return physical;
 }
 
-EntryDecode
-CompiledBinaryCodec::decode(const Bits288& received) const
+CompiledBinaryCodec::Correction
+CompiledBinaryCodec::correct(std::uint32_t syn) const
 {
-    std::uint32_t syn = 0;
-    EntryData data{};
-    for (int b = 0; b < layout::num_bytes; ++b) {
-        const std::uint64_t byte =
-            (received.word(b >> 3) >> ((b & 7) * 8)) & 0xff;
-        const Gather& g = gather_[b][byte];
-        syn ^= g.syn;
-        data[0] ^= g.data[0];
-        data[1] ^= g.data[1];
-        data[2] ^= g.data[2];
-        data[3] ^= g.data[3];
-    }
-    if (syn == 0)
-        return {EntryDecode::Status::clean, data};
-
-    const Fix* fixes[4] = {};
+    Correction c{EntryDecode::Status::corrected, {}, {}};
     int num_correcting = 0;
     for (int cw = 0; cw < 4; ++cw) {
         const std::uint8_t s =
@@ -116,30 +112,44 @@ CompiledBinaryCodec::decode(const Bits288& received) const
             continue;
         const Fix& f = fix_[cw][s];
         if (f.due)
-            return {EntryDecode::Status::due, EntryData{}};
-        fixes[cw] = &f;
+            return {EntryDecode::Status::due, {}, {}};
+        c.data_fix[cw] = f.data_fix;
+        for (int p : f.phys) {
+            if (p >= 0)
+                c.flips.set(p, 1);
+        }
         ++num_correcting;
     }
+    // Same predicate, same corrected-bit set as the reference.
+    if (csc_ && num_correcting >= 2 &&
+        !correctionSanityCheckPasses(c.flips))
+        return {EntryDecode::Status::due, {}, {}};
+    return c;
+}
 
-    if (csc_ && num_correcting >= 2) {
-        // Same predicate, same corrected-bit set as the reference.
-        Bits288 corrected_physical;
-        for (int cw = 0; cw < 4; ++cw) {
-            if (!fixes[cw])
-                continue;
-            for (int p : fixes[cw]->phys) {
-                if (p >= 0)
-                    corrected_physical.set(p, 1);
-            }
-        }
-        if (!correctionSanityCheckPasses(corrected_physical))
-            return {EntryDecode::Status::due, EntryData{}};
+EntryDecode
+CompiledBinaryCodec::decode(const Bits288& received) const
+{
+    std::uint32_t syn = 0;
+    EntryData data{};
+    for (int b = 0; b < layout::num_bytes; ++b) {
+        const unsigned byte = static_cast<unsigned>(
+            (received.word(b >> 3) >> ((b & 7) * 8)) & 0xff);
+        syn ^= syn_.at(b, byte);
+        const auto& d = data_[b][byte];
+        data[0] ^= d[0];
+        data[1] ^= d[1];
+        data[2] ^= d[2];
+        data[3] ^= d[3];
     }
+    if (syn == 0)
+        return {EntryDecode::Status::clean, data};
 
-    for (int cw = 0; cw < 4; ++cw) {
-        if (fixes[cw])
-            data[cw] ^= fixes[cw]->data_fix;
-    }
+    const Correction c = correct(syn);
+    if (c.status == EntryDecode::Status::due)
+        return {EntryDecode::Status::due, EntryData{}};
+    for (int cw = 0; cw < 4; ++cw)
+        data[cw] ^= c.data_fix[cw];
     return {EntryDecode::Status::corrected, data};
 }
 
@@ -153,6 +163,23 @@ CompiledBinaryCodec::decodeBatch(const Bits288* received,
     // delegation, so the differential harness covers this path too.
     for (std::size_t i = 0; i < n; ++i)
         out[i] = decode(received[i]);
+}
+
+void
+CompiledBinaryCodec::classifyErrorBatch(const Bits288& codeword,
+                                        const EntryData& data,
+                                        const Bits288* errors,
+                                        ErrorOutcome* out,
+                                        std::size_t n) const
+{
+    // encode() places the data bits (and check bits, which the data
+    // mask drops) exactly where decode() extracts them from.
+    classifyBySyndrome(syn_, data_bits_, codeword, encode(data), errors,
+                       out, n, [&](std::uint32_t syn, Bits288& flips) {
+                           const Correction c = correct(syn);
+                           flips = c.flips;
+                           return c.status != EntryDecode::Status::due;
+                       });
 }
 
 } // namespace gpuecc

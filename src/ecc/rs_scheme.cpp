@@ -6,6 +6,7 @@
 #include "common/codec_mode.hpp"
 #include "common/log.hpp"
 #include "ecc/csc.hpp"
+#include "gf256/gf256.hpp"
 #include "gf256/gf256_vec.hpp"
 #include "interleave/swizzle.hpp"
 
@@ -88,6 +89,63 @@ bytesToData(const std::array<std::uint8_t, 32>& bytes)
  *  one shard batch is one SoA transpose + one bulk syndrome pass. */
 constexpr std::size_t kRsTile = 256;
 
+/**
+ * Packed contribution of bit `t` of the symbol at code position `pos`
+ * to the syndromes S_j = sum_i word[i] * alpha^(j*i), j < r, with S_j
+ * in byte `first + j` of the result.
+ */
+std::uint32_t
+symbolBitSyndrome(int pos, int t, int r, int first)
+{
+    std::uint32_t packed = 0;
+    for (int j = 0; j < r; ++j) {
+        const std::uint8_t term = gf256::mul(
+            gf256::alphaPow(j * pos), static_cast<std::uint8_t>(1u << t));
+        packed |= static_cast<std::uint32_t>(term) << (8 * (first + j));
+    }
+    return packed;
+}
+
+/** Per physical bit: its packed (S0, S1) x 2 codewords contribution. */
+std::array<std::uint32_t, layout::entry_bits>
+sscBitSyndromes()
+{
+    std::array<std::uint32_t, layout::entry_bits> bits{};
+    for (int cw = 0; cw < 2; ++cw) {
+        for (int pos = 0; pos < 18; ++pos) {
+            for (int t = 0; t < 8; ++t) {
+                bits[InterleavedSscScheme::physicalBit(cw, pos, t)] =
+                    symbolBitSyndrome(pos, t, 2, 2 * cw);
+            }
+        }
+    }
+    return bits;
+}
+
+/** Per physical bit: its packed S0..S3 contribution. */
+std::array<std::uint32_t, layout::entry_bits>
+rs3632BitSyndromes()
+{
+    std::array<std::uint32_t, layout::entry_bits> bits{};
+    for (int pos = 0; pos < 36; ++pos) {
+        for (int t = 0; t < 8; ++t) {
+            bits[8 * Rs3632Scheme::physicalByteOf(pos) + t] =
+                symbolBitSyndrome(pos, t, 4, 0);
+        }
+    }
+    return bits;
+}
+
+/** The four bytes of a packed syndrome, lowest first. */
+std::array<std::uint8_t, 4>
+unpackSyndromes(std::uint32_t syn)
+{
+    return {static_cast<std::uint8_t>(syn),
+            static_cast<std::uint8_t>(syn >> 8),
+            static_cast<std::uint8_t>(syn >> 16),
+            static_cast<std::uint8_t>(syn >> 24)};
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -95,8 +153,15 @@ constexpr std::size_t kRsTile = 256;
 // ---------------------------------------------------------------------
 
 InterleavedSscScheme::InterleavedSscScheme(bool csc)
-    : code_(18, 16), csc_(csc), plan_(code_), isa_(gf256::bestIsa())
+    : code_(18, 16), csc_(csc), plan_(code_), isa_(gf256::bestIsa()),
+      syn_([bits = sscBitSyndromes()](int phys) { return bits[phys]; })
 {
+    for (int cw = 0; cw < 2; ++cw) {
+        for (int pos = 2; pos < 18; ++pos) {
+            for (int t = 0; t < 8; ++t)
+                data_bits_.set(physicalBit(cw, pos, t), 1);
+        }
+    }
 }
 
 int
@@ -176,11 +241,46 @@ InterleavedSscScheme::decode(const Bits288& received) const
                                : decodeFast(received);
 }
 
+Bits288
+InterleavedSscScheme::flipsOf(const std::array<RsFix, 2>& fixes)
+{
+    EntryWords flips;
+    for (int cw = 0; cw < 2; ++cw) {
+        for (int e = 0; e < fixes[cw].num_errors; ++e) {
+            const int pos = fixes[cw].pos[e];
+            const std::uint64_t mag = fixes[cw].mag[e];
+            flips.orField(physicalBit(cw, pos, 0), mag & 0xf);
+            flips.orField(physicalBit(cw, pos, 4), (mag >> 4) & 0xf);
+        }
+    }
+    return flips.toBits();
+}
+
+InterleavedSscScheme::Correction
+InterleavedSscScheme::correct(const std::uint8_t* s) const
+{
+    Correction c{EntryDecode::Status::clean, {}};
+    int num_correcting = 0;
+    for (int cw = 0; cw < 2; ++cw) {
+        c.fixes[cw] = fixSscOneShot(18, s + 2 * cw);
+        if (c.fixes[cw].status == RsDecode::Status::due)
+            return {EntryDecode::Status::due, {}};
+        if (c.fixes[cw].status == RsDecode::Status::corrected)
+            ++num_correcting;
+    }
+    if (csc_ && num_correcting >= 2 &&
+        !correctionSanityCheckPasses(flipsOf(c.fixes)))
+        return {EntryDecode::Status::due, {}};
+    if (num_correcting)
+        c.status = EntryDecode::Status::corrected;
+    return c;
+}
+
 /**
  * Allocation-free fast decode: nibble-gathered symbols on the stack,
  * syndromes via the plan's precomputed tables, correction decisions
- * from fixSscOneShot. Decision-for-decision identical to the
- * reference path below (the differential tests enforce it).
+ * from correct(). Decision-for-decision identical to the reference
+ * path below (the differential tests enforce it).
  */
 EntryDecode
 InterleavedSscScheme::decodeFast(const Bits288& received) const
@@ -196,43 +296,21 @@ InterleavedSscScheme::decodeFast(const Bits288& received) const
         }
     }
 
-    RsFix fixes[2];
-    int num_correcting = 0;
-    for (int cw = 0; cw < 2; ++cw) {
-        std::uint8_t s[2];
-        plan_.syndromesScalar(cws[cw], s);
-        fixes[cw] = fixSscOneShot(18, s);
-        if (fixes[cw].status == RsDecode::Status::due)
-            return {EntryDecode::Status::due, EntryData{}};
-        if (fixes[cw].status == RsDecode::Status::corrected)
-            ++num_correcting;
-    }
-
-    if (csc_ && num_correcting >= 2) {
-        EntryWords corrected;
-        for (int cw = 0; cw < 2; ++cw) {
-            for (int e = 0; e < fixes[cw].num_errors; ++e) {
-                const int pos = fixes[cw].pos[e];
-                const std::uint64_t mag = fixes[cw].mag[e];
-                corrected.orField(physicalBit(cw, pos, 0), mag & 0xf);
-                corrected.orField(physicalBit(cw, pos, 4),
-                                  (mag >> 4) & 0xf);
-            }
-        }
-        if (!correctionSanityCheckPasses(corrected.toBits()))
-            return {EntryDecode::Status::due, EntryData{}};
-    }
+    std::uint8_t s[4];
+    for (int cw = 0; cw < 2; ++cw)
+        plan_.syndromesScalar(cws[cw], s + 2 * cw);
+    const Correction c = correct(s);
+    if (c.status == EntryDecode::Status::due)
+        return {EntryDecode::Status::due, EntryData{}};
 
     std::array<std::uint8_t, 32> bytes{};
     for (int cw = 0; cw < 2; ++cw) {
-        for (int e = 0; e < fixes[cw].num_errors; ++e)
-            cws[cw][fixes[cw].pos[e]] ^= fixes[cw].mag[e];
+        for (int e = 0; e < c.fixes[cw].num_errors; ++e)
+            cws[cw][c.fixes[cw].pos[e]] ^= c.fixes[cw].mag[e];
         for (int pos = 2; pos < 18; ++pos)
             bytes[16 * cw + (pos - 2)] = cws[cw][pos];
     }
-    return {num_correcting ? EntryDecode::Status::corrected
-                           : EntryDecode::Status::clean,
-            bytesToData(bytes)};
+    return {c.status, bytesToData(bytes)};
 }
 
 EntryDecode
@@ -341,60 +419,61 @@ InterleavedSscScheme::decodeBatchFast(const Bits288* received,
                 continue;
             }
 
-            // Suspect: scalar fix from the already-computed
+            // Suspect: correct() from the already-computed
             // syndromes — the same decisions decodeFast() makes.
-            RsFix fixes[2];
-            int num_correcting = 0;
-            bool due = false;
-            for (int cw = 0; cw < 2 && !due; ++cw) {
-                const std::uint8_t s[2] = {
-                    synd[cw][0 * kRsTile + e],
-                    synd[cw][1 * kRsTile + e]};
-                fixes[cw] = fixSscOneShot(18, s);
-                if (fixes[cw].status == RsDecode::Status::due)
-                    due = true;
-                else if (fixes[cw].status == RsDecode::Status::corrected)
-                    ++num_correcting;
-            }
-            if (due) {
+            const std::uint8_t s[4] = {
+                synd[0][0 * kRsTile + e], synd[0][1 * kRsTile + e],
+                synd[1][0 * kRsTile + e], synd[1][1 * kRsTile + e]};
+            const Correction c = correct(s);
+            if (c.status == EntryDecode::Status::due) {
                 out[base + e] = {EntryDecode::Status::due, EntryData{}};
                 continue;
-            }
-
-            if (csc_ && num_correcting >= 2) {
-                EntryWords corrected;
-                for (int cw = 0; cw < 2; ++cw) {
-                    for (int k = 0; k < fixes[cw].num_errors; ++k) {
-                        const int pos = fixes[cw].pos[k];
-                        const std::uint64_t mag = fixes[cw].mag[k];
-                        corrected.orField(physicalBit(cw, pos, 0),
-                                          mag & 0xf);
-                        corrected.orField(physicalBit(cw, pos, 4),
-                                          (mag >> 4) & 0xf);
-                    }
-                }
-                if (!correctionSanityCheckPasses(corrected.toBits())) {
-                    out[base + e] = {EntryDecode::Status::due,
-                                     EntryData{}};
-                    continue;
-                }
             }
 
             for (int cw = 0; cw < 2; ++cw) {
                 std::uint8_t word[18];
                 for (int pos = 0; pos < 18; ++pos)
                     word[pos] = cols[cw][pos * kRsTile + e];
-                for (int k = 0; k < fixes[cw].num_errors; ++k)
-                    word[fixes[cw].pos[k]] ^= fixes[cw].mag[k];
+                for (int k = 0; k < c.fixes[cw].num_errors; ++k)
+                    word[c.fixes[cw].pos[k]] ^= c.fixes[cw].mag[k];
                 for (int pos = 2; pos < 18; ++pos)
                     bytes[16 * cw + (pos - 2)] = word[pos];
             }
-            out[base + e] = {num_correcting
-                                 ? EntryDecode::Status::corrected
-                                 : EntryDecode::Status::clean,
-                             bytesToData(bytes)};
+            out[base + e] = {c.status, bytesToData(bytes)};
         }
     }
+}
+
+void
+InterleavedSscScheme::classifyErrorBatch(const Bits288& codeword,
+                                         const EntryData& data,
+                                         const Bits288* errors,
+                                         ErrorOutcome* out,
+                                         std::size_t n) const
+{
+    if (useReferenceCodec()) {
+        EntryScheme::classifyErrorBatch(codeword, data, errors, out, n);
+        return;
+    }
+    const auto bytes = dataToBytes(data);
+    EntryWords placed;
+    for (int cw = 0; cw < 2; ++cw) {
+        for (int pos = 2; pos < 18; ++pos) {
+            const std::uint64_t b = bytes[16 * cw + (pos - 2)];
+            placed.orField(physicalBit(cw, pos, 0), b & 0xf);
+            placed.orField(physicalBit(cw, pos, 4), b >> 4);
+        }
+    }
+    classifyBySyndrome(syn_, data_bits_, codeword, placed.toBits(),
+                       errors, out, n,
+                       [&](std::uint32_t syn, Bits288& flips) {
+                           const auto s = unpackSyndromes(syn);
+                           const Correction c = correct(s.data());
+                           if (c.status == EntryDecode::Status::due)
+                               return false;
+                           flips = flipsOf(c.fixes);
+                           return true;
+                       });
 }
 
 EntryDecode
@@ -433,8 +512,13 @@ InterleavedSscScheme::decodeWithPinErasure(const Bits288& received,
 
 Rs3632Scheme::Rs3632Scheme(Decoder decoder)
     : code_(36, 32), decoder_(decoder), plan_(code_),
-      isa_(gf256::bestIsa())
+      isa_(gf256::bestIsa()),
+      syn_([bits = rs3632BitSyndromes()](int phys) { return bits[phys]; })
 {
+    for (int pos = 4; pos < 36; ++pos) {
+        for (int t = 0; t < 8; ++t)
+            data_bits_.set(8 * physicalByteOf(pos) + t, 1);
+    }
 }
 
 std::string
@@ -639,6 +723,37 @@ Rs3632Scheme::decodeBatchFast(const Bits288* received,
                              bytesToData(bytes)};
         }
     }
+}
+
+void
+Rs3632Scheme::classifyErrorBatch(const Bits288& codeword,
+                                 const EntryData& data,
+                                 const Bits288* errors, ErrorOutcome* out,
+                                 std::size_t n) const
+{
+    if (useReferenceCodec()) {
+        EntryScheme::classifyErrorBatch(codeword, data, errors, out, n);
+        return;
+    }
+    const auto bytes = dataToBytes(data);
+    EntryWords placed;
+    for (int pos = 4; pos < 36; ++pos)
+        placed.orField(8 * physicalByteOf(pos), bytes[pos - 4]);
+    classifyBySyndrome(syn_, data_bits_, codeword, placed.toBits(),
+                       errors, out, n,
+                       [&](std::uint32_t syn, Bits288& flips) {
+                           const auto s = unpackSyndromes(syn);
+                           const RsFix fix = fixFromSyndromes(s.data());
+                           if (fix.status == RsDecode::Status::due)
+                               return false;
+                           EntryWords fixed;
+                           for (int k = 0; k < fix.num_errors; ++k) {
+                               fixed.orField(8 * physicalByteOf(fix.pos[k]),
+                                             fix.mag[k]);
+                           }
+                           flips = fixed.toBits();
+                           return true;
+                       });
 }
 
 EntryDecode

@@ -25,6 +25,7 @@
 #include <array>
 #include <string>
 
+#include "ecc/error_domain.hpp"
 #include "ecc/scheme.hpp"
 #include "gf256/gf256_vec.hpp"
 #include "rs/batch.hpp"
@@ -79,7 +80,34 @@ class InterleavedSscScheme : public EntryScheme
     void decodeBatch(const Bits288* received, EntryDecode* out,
                      std::size_t n) const override;
 
+    /**
+     * Error-domain classification: both codewords' syndromes from
+     * one packed table over the mask's nonzero bytes, then correct().
+     * The inject/decode/compare default under GPUECC_REFERENCE_CODEC.
+     */
+    void classifyErrorBatch(const Bits288& codeword,
+                            const EntryData& data,
+                            const Bits288* errors, ErrorOutcome* out,
+                            std::size_t n) const override;
+
   private:
+    /** An entry's decision: both codewords' fixes, after the CSC. */
+    struct Correction
+    {
+        EntryDecode::Status status;
+        std::array<RsFix, 2> fixes;
+    };
+
+    /**
+     * fixSscOneShot per codeword, then the CSC when both correct: the
+     * one copy of the decision every decode path and the classifier
+     * share. `s` holds S0, S1 of codeword 0, then of codeword 1.
+     */
+    Correction correct(const std::uint8_t* s) const;
+
+    /** Physical bits the fixes flip. */
+    static Bits288 flipsOf(const std::array<RsFix, 2>& fixes);
+
     std::array<std::vector<std::uint8_t>, 2>
     gatherCodewords(const Bits288& physical) const;
 
@@ -92,6 +120,9 @@ class InterleavedSscScheme : public EntryScheme
     bool csc_;
     RsSyndromePlan plan_;       //!< per-(syndrome, position) tables
     gf256::VecIsa isa_;         //!< vector ISA fixed at construction
+    /** Physical byte -> S0, S1 of codeword 0, then of codeword 1. */
+    PackedSyndromeTable syn_;
+    Bits288 data_bits_;         //!< physical positions of data bits
 };
 
 /** The (36, 32) single-codeword organizations. */
@@ -141,17 +172,32 @@ class Rs3632Scheme : public EntryScheme
     void decodeBatch(const Bits288* received, EntryDecode* out,
                      std::size_t n) const override;
 
+    /**
+     * Error-domain classification: S0..S3 from one packed table over
+     * the mask's nonzero bytes, then fixFromSyndromes(). The
+     * inject/decode/compare default under GPUECC_REFERENCE_CODEC.
+     */
+    void classifyErrorBatch(const Bits288& codeword,
+                            const EntryData& data,
+                            const Bits288* errors, ErrorOutcome* out,
+                            std::size_t n) const override;
+
   private:
     EntryDecode decodeFast(const Bits288& received) const;
     EntryDecode decodeReference(const Bits288& received) const;
     void decodeBatchFast(const Bits288* received, EntryDecode* out,
                          std::size_t n) const;
+    /** The decoder's decision from S0..S3: the one copy every decode
+     *  path and the classifier share. */
     RsFix fixFromSyndromes(const std::uint8_t* s) const;
 
     RsCode code_;
     Decoder decoder_;
     RsSyndromePlan plan_;       //!< per-(syndrome, position) tables
     gf256::VecIsa isa_;         //!< vector ISA fixed at construction
+    /** Physical byte -> S0 | S1 << 8 | S2 << 16 | S3 << 24. */
+    PackedSyndromeTable syn_;
+    Bits288 data_bits_;         //!< physical positions of data bits
 };
 
 } // namespace gpuecc

@@ -39,6 +39,14 @@ struct EntryDecode
     EntryData data;
 };
 
+/** How one error-injection trial ends. */
+enum class ErrorOutcome : std::uint8_t
+{
+    dce, //!< decoded data equals the stored data (clean or corrected)
+    due, //!< detected-yet-uncorrectable
+    sdc  //!< decoded data differs from the stored data, unflagged
+};
+
 /** A full-entry ECC organization (encode 32B -> 36B and back). */
 class EntryScheme
 {
@@ -61,12 +69,13 @@ class EntryScheme
     /**
      * Decode `n` physical entries in one call.
      *
-     * This is the batched shard kernel's decode stage: one virtual
-     * dispatch amortized over a whole structure-of-arrays batch
-     * instead of one per entry. Results must be element-wise
-     * identical to n calls of decode() — the default loop guarantees
-     * that for every scheme; organizations with a compiled fast path
-     * override it to devirtualize the inner loop as well.
+     * One virtual dispatch amortized over a whole structure-of-arrays
+     * batch instead of one per entry (bench_throughput's decode
+     * rates and the default classifyErrorBatch() run on it). Results
+     * must be element-wise identical to n calls of decode() — the
+     * default loop guarantees that for every scheme; organizations
+     * with a compiled fast path override it to devirtualize the
+     * inner loop as well.
      */
     virtual void
     decodeBatch(const Bits288* received, EntryDecode* out,
@@ -75,6 +84,26 @@ class EntryScheme
         for (std::size_t i = 0; i < n; ++i)
             out[i] = decode(received[i]);
     }
+
+    /**
+     * Classify `n` error masks against one stored entry: out[i] is
+     * how decoding `codeword ^ errors[i]` ends when its result is
+     * compared with `data`. This is the batched shard kernel's
+     * per-batch call.
+     *
+     * The default injects each mask, runs decodeBatch() and compares
+     * the data, so a scheme that overrides only decode() or
+     * decodeBatch() keeps exactly that behaviour. The library's codes
+     * are linear, so their schemes override it to decide from each
+     * mask's syndrome and look at data bits only for trials the
+     * decoder accepts (ecc/error_domain.hpp); under the reference
+     * backend they fall back to this default.
+     */
+    virtual void classifyErrorBatch(const Bits288& codeword,
+                                    const EntryData& data,
+                                    const Bits288* errors,
+                                    ErrorOutcome* out,
+                                    std::size_t n) const;
 
     /** Whether the organization corrects single-pin (permanent)
      *  errors; SSC-DSD+ is the one scheme in the paper that does not. */

@@ -1,5 +1,7 @@
 #include "faultsim/shard.hpp"
 
+#include <functional>
+
 #include "common/log.hpp"
 #include "common/rng.hpp"
 
@@ -131,28 +133,22 @@ evaluateShardBatched(const EntryScheme& scheme,
     OutcomeCounts counts;
     std::size_t filled = 0;
 
-    // Drain the staged masks through the remaining pipeline stages:
-    // inject (word-wise XOR into the golden entry), one batch decode,
-    // then the tally sweep. Masks are tallied in draw order, but the
-    // counts are order-free anyway.
+    // Drain the staged masks: one classifyErrorBatch call decides
+    // every mask's outcome against the golden entry, then the tally
+    // sweep.
     auto flush = [&] {
         if (filled == 0)
             return;
+        scheme.classifyErrorBatch(golden.entry, golden.data,
+                                  arena.masks.data(),
+                                  arena.outcomes.data(), filled);
+        std::uint64_t by_outcome[3] = {};
         for (std::size_t i = 0; i < filled; ++i)
-            arena.received[i] = golden.entry ^ arena.masks[i];
-        scheme.decodeBatch(arena.received.data(),
-                           arena.decodes.data(), filled);
-        for (std::size_t i = 0; i < filled; ++i) {
-            const EntryDecode& result = arena.decodes[i];
-            ++counts.trials;
-            if (result.status == EntryDecode::Status::due) {
-                ++counts.due;
-            } else if (result.data == golden.data) {
-                ++counts.dce;
-            } else {
-                ++counts.sdc;
-            }
-        }
+            ++by_outcome[static_cast<int>(arena.outcomes[i])];
+        counts.trials += filled;
+        counts.dce += by_outcome[static_cast<int>(ErrorOutcome::dce)];
+        counts.due += by_outcome[static_cast<int>(ErrorOutcome::due)];
+        counts.sdc += by_outcome[static_cast<int>(ErrorOutcome::sdc)];
         filled = 0;
     };
     auto stage = [&](const Bits288& mask) {
@@ -163,8 +159,10 @@ evaluateShardBatched(const EntryScheme& scheme,
 
     if (patternIsEnumerable(shard.pattern)) {
         counts.exhaustive = true;
+        // By reference: a std::function holding the capturing lambda
+        // itself would heap-allocate once per shard.
         forEachErrorMaskInRange(shard.pattern, shard.begin, shard.end,
-                                stage);
+                                std::ref(stage));
     } else {
         require(shard.begin % kStreamBlockSamples == 0,
                 "evaluateShardBatched: shard must start on a stream "

@@ -115,22 +115,28 @@ constexpr std::size_t kShardBatchEntries = 256;
  * Reusable structure-of-arrays scratch for the batched shard kernel.
  *
  * One arena per worker, allocated once and reused across every shard
- * that worker evaluates: the three staging arrays (~30 KiB total)
- * stay resident in its private cache, and the cache-line alignment
- * keeps neighbouring workers' arenas off each other's lines when they
- * live in a WorkerArena slot. The arena carries no results — tallies
- * come back through evaluateShardBatched's return value — so reuse
- * needs no reset.
+ * that worker evaluates: the staging arrays (~30 KiB total) stay
+ * resident in its private cache, and the cache-line alignment keeps
+ * neighbouring workers' arenas off each other's lines when they live
+ * in a WorkerArena slot. The arena carries no results — tallies come
+ * back through evaluateShardBatched's return value — so reuse needs
+ * no reset.
  */
 struct ShardBatchArena
 {
     /** Stage 1: materialized error masks. */
     alignas(kCacheLineBytes)
         std::array<Bits288, kShardBatchEntries> masks;
-    /** Stage 2: golden entry with each mask injected. */
+    /** Stage 2: each mask's outcome from classifyErrorBatch. */
+    alignas(kCacheLineBytes)
+        std::array<ErrorOutcome, kShardBatchEntries> outcomes;
+    /**
+     * Staging for a stage-by-stage replay that injects the masks and
+     * decodes them with decodeBatch (perfbench times those stages);
+     * evaluateShardBatched itself does not touch these two.
+     */
     alignas(kCacheLineBytes)
         std::array<Bits288, kShardBatchEntries> received;
-    /** Stage 3: batch-decoded outcomes. */
     alignas(kCacheLineBytes)
         std::array<EntryDecode, kShardBatchEntries> decodes;
     /** Bulk-derived generators, one per stream block of the shard. */
@@ -142,11 +148,13 @@ struct ShardBatchArena
  * evaluateShard (which remains the differential oracle — see
  * tests/test_shard_batch.cpp), restructured as a
  * structure-of-arrays pipeline. Masks are materialized in draw order
- * (so the RNG consumption matches the scalar path bit-for-bit),
- * injected into the golden entry word-wise, and decoded through one
- * decodeBatch call per batch — one virtual dispatch per
- * kShardBatchEntries entries instead of one per sample, with block
- * generators derived in bulk via Rng::forStreams.
+ * (so the RNG consumption matches the scalar path bit-for-bit), with
+ * block generators derived in bulk via Rng::forStreams, and each
+ * batch is classified by one EntryScheme::classifyErrorBatch call —
+ * one virtual dispatch per kShardBatchEntries entries instead of one
+ * per sample. The library schemes decide there from each mask's
+ * syndrome, without building a received word (ecc/error_domain.hpp).
+ * Warmed up (block_rngs sized), a call makes no heap allocation.
  */
 OutcomeCounts evaluateShardBatched(const EntryScheme& scheme,
                                    const GoldenEntry& golden,
