@@ -93,8 +93,10 @@ codecRates(const std::string& id, std::uint64_t iters,
 
     // Batched entry point on a campaign-like mix: mostly-clean
     // entries with a rotating single-bit error in every fourth slot,
-    // so the SoA fast path's bulk syndrome pass AND its suspect
-    // fallback are both on the clock.
+    // so both the clean early-out and the correcting path are on the
+    // clock. No scheme overrides decodeBatch, so this is the default
+    // per-entry loop over decode(); the shard kernel itself
+    // classifies error masks instead (classifyErrorBatch).
     constexpr std::size_t kBatch = 512;
     std::vector<Bits288> received(kBatch, entry);
     for (std::size_t i = 0; i < kBatch; i += 4)
@@ -151,9 +153,10 @@ main(int argc, char** argv)
     json.beginObject();
     json.kv("iters", iters);
 
-    // The gf256 vector ISA the RS fast path dispatched to on this
-    // host — throughput numbers are not comparable across ISAs, so
-    // the artifact records it (also echoed in the manifest).
+    // The gf256 vector ISA the bulk GF(2^8) kernels select on this
+    // host (also echoed in the manifest). No codec in this table
+    // dispatches to them: RS decode runs through a packed syndrome
+    // table, so the figures here do not depend on it.
     const std::string simd_isa = gf256::isaName(gf256::bestIsa());
     json.kv("simd_isa", simd_isa);
     std::printf("gf256 vector ISA: %s\n", simd_isa.c_str());

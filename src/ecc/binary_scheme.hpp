@@ -67,23 +67,6 @@ class BinaryEntryScheme : public EntryScheme
                                    : codec_.decode(received);
     }
 
-    /**
-     * Batch decode: one backend dispatch for the whole batch, then
-     * the compiled codec's devirtualized loop (or the reference path
-     * element-wise under GPUECC_REFERENCE_CODEC).
-     */
-    void
-    decodeBatch(const Bits288* received, EntryDecode* out,
-                std::size_t n) const override
-    {
-        if (useReferenceCodec()) {
-            for (std::size_t i = 0; i < n; ++i)
-                out[i] = decodeReference(received[i]);
-            return;
-        }
-        codec_.decodeBatch(received, out, n);
-    }
-
     /** Error-domain classification on the compiled tables; the
      *  inject/decode/compare default under GPUECC_REFERENCE_CODEC. */
     void

@@ -154,18 +154,6 @@ CompiledBinaryCodec::decode(const Bits288& received) const
 }
 
 void
-CompiledBinaryCodec::decodeBatch(const Bits288* received,
-                                 EntryDecode* out,
-                                 std::size_t n) const
-{
-    // Per-element decode() with the table bases hoisted by the
-    // compiler across the batch; correctness is element-wise
-    // delegation, so the differential harness covers this path too.
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = decode(received[i]);
-}
-
-void
 CompiledBinaryCodec::classifyErrorBatch(const Bits288& codeword,
                                         const EntryData& data,
                                         const Bits288* errors,

@@ -63,14 +63,6 @@ class CompiledBinaryCodec
     EntryDecode decode(const Bits288& received) const;
 
     /**
-     * Decode `n` entries with the same tables; out[i] is identical to
-     * decode(received[i]), with the table base pointers live in
-     * registers across the whole batch.
-     */
-    void decodeBatch(const Bits288* received, EntryDecode* out,
-                     std::size_t n) const;
-
-    /**
      * EntryScheme::classifyErrorBatch from the masks' syndromes:
      * out[i] is the outcome decode(codeword ^ errors[i]) would have
      * against `data`, decided by the same correct() decode uses.

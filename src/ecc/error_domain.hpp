@@ -17,6 +17,10 @@
  *  3. a non-DUE trial is a DCE exactly when the mask and the flips
  *     cancel on every data bit, and an SDC otherwise.
  *
+ * The RS schemes' compiled decode() runs the same two steps on the
+ * received word (decodeBySyndrome): its packed syndrome, the same
+ * decision, then the flips XORed in before the data is extracted.
+ *
  * tests/test_error_domain.cpp checks the result against inject +
  * decode + compare, mask for mask, for every registered scheme.
  */
@@ -121,6 +125,27 @@ classifyBySyndrome(const PackedSyndromeTable& syndrome,
         const Bits288 residual = (offset ^ errors[i] ^ flips) & data_bits;
         out[i] = residual.none() ? ErrorOutcome::dce : ErrorOutcome::sdc;
     }
+}
+
+/**
+ * Decode `received` from its packed syndrome: clean when it is zero,
+ * otherwise the family's `decide(syn, flips)` (the contract of
+ * classifyBySyndrome) either rejects it as a DUE or names the
+ * physical bits to flip before `extract(word)` reads the data out.
+ */
+template <typename Decide, typename Extract>
+EntryDecode
+decodeBySyndrome(const PackedSyndromeTable& syndrome,
+                 const Bits288& received, Decide&& decide,
+                 Extract&& extract)
+{
+    const std::uint32_t syn = syndrome(received);
+    if (syn == 0)
+        return {EntryDecode::Status::clean, extract(received)};
+    Bits288 flips;
+    if (!decide(syn, flips))
+        return {EntryDecode::Status::due, EntryData{}};
+    return {EntryDecode::Status::corrected, extract(received ^ flips)};
 }
 
 } // namespace gpuecc

@@ -1,13 +1,9 @@
 #include "ecc/rs_scheme.hpp"
 
-#include <algorithm>
-#include <cstring>
-
 #include "common/codec_mode.hpp"
 #include "common/log.hpp"
 #include "ecc/csc.hpp"
 #include "gf256/gf256.hpp"
-#include "gf256/gf256_vec.hpp"
 #include "interleave/swizzle.hpp"
 
 namespace gpuecc {
@@ -34,6 +30,18 @@ physNibble(const Bits288& entry, int off)
 {
     return static_cast<std::uint8_t>(
         (entry.word(off >> 6) >> (off & 63)) & 0xf);
+}
+
+/**
+ * Word-extracted 64-bit field at bit offset `off` (off % 64 != 0, so
+ * it takes the top of one word and the bottom of the next).
+ */
+std::uint64_t
+physField64(const Bits288& entry, int off)
+{
+    const int w = off >> 6;
+    const int s = off & 63;
+    return (entry.word(w) >> s) | (entry.word(w + 1) << (64 - s));
 }
 
 /** Accumulator for word-level scatter into a physical entry. */
@@ -84,10 +92,6 @@ bytesToData(const std::array<std::uint8_t, 32>& bytes)
     }
     return data;
 }
-
-/** Per-decodeBatch tile: matches the shard kernel's batch size so
- *  one shard batch is one SoA transpose + one bulk syndrome pass. */
-constexpr std::size_t kRsTile = 256;
 
 /**
  * Packed contribution of bit `t` of the symbol at code position `pos`
@@ -146,6 +150,36 @@ unpackSyndromes(std::uint32_t syn)
             static_cast<std::uint8_t>(syn >> 24)};
 }
 
+/** The (18, 16) x 2 data: each data byte is a nibble pair, one 4-bit
+ *  column slice of each beat of its symbol's beat-pair. */
+EntryData
+sscData(const Bits288& word)
+{
+    EntryData data{};
+    for (int cw = 0; cw < 2; ++cw) {
+        for (int pos = 2; pos < 18; ++pos) {
+            const int lo = InterleavedSscScheme::physicalBit(cw, pos, 0);
+            const int hi = InterleavedSscScheme::physicalBit(cw, pos, 4);
+            const std::uint64_t sym =
+                physNibble(word, lo) | (physNibble(word, hi) << 4);
+            const int b = 16 * cw + (pos - 2);
+            data[b / 8] |= sym << (8 * (b % 8));
+        }
+    }
+    return data;
+}
+
+/** The (36, 32) data: data symbols fill physical bytes 1..8 of each
+ *  beat (physicalByteOf), so data word w is the 64 bits from 72w + 8. */
+EntryData
+rs3632Data(const Bits288& word)
+{
+    EntryData data{};
+    for (int w = 0; w < 4; ++w)
+        data[w] = physField64(word, layout::beat_bits * w + 8);
+    return data;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -153,7 +187,7 @@ unpackSyndromes(std::uint32_t syn)
 // ---------------------------------------------------------------------
 
 InterleavedSscScheme::InterleavedSscScheme(bool csc)
-    : code_(18, 16), csc_(csc), plan_(code_), isa_(gf256::bestIsa()),
+    : code_(18, 16), csc_(csc),
       syn_([bits = sscBitSyndromes()](int phys) { return bits[phys]; })
 {
     for (int cw = 0; cw < 2; ++cw) {
@@ -237,80 +271,35 @@ InterleavedSscScheme::encode(const EntryData& data) const
 EntryDecode
 InterleavedSscScheme::decode(const Bits288& received) const
 {
-    return useReferenceCodec() ? decodeReference(received)
-                               : decodeFast(received);
+    if (useReferenceCodec())
+        return decodeReference(received);
+    return decodeBySyndrome(
+        syn_, received,
+        [this](std::uint32_t syn, Bits288& flips) {
+            return decide(syn, flips);
+        },
+        sscData);
 }
 
-Bits288
-InterleavedSscScheme::flipsOf(const std::array<RsFix, 2>& fixes)
+bool
+InterleavedSscScheme::decide(std::uint32_t syn, Bits288& flips) const
 {
-    EntryWords flips;
-    for (int cw = 0; cw < 2; ++cw) {
-        for (int e = 0; e < fixes[cw].num_errors; ++e) {
-            const int pos = fixes[cw].pos[e];
-            const std::uint64_t mag = fixes[cw].mag[e];
-            flips.orField(physicalBit(cw, pos, 0), mag & 0xf);
-            flips.orField(physicalBit(cw, pos, 4), (mag >> 4) & 0xf);
-        }
-    }
-    return flips.toBits();
-}
-
-InterleavedSscScheme::Correction
-InterleavedSscScheme::correct(const std::uint8_t* s) const
-{
-    Correction c{EntryDecode::Status::clean, {}};
+    const auto s = unpackSyndromes(syn);
+    EntryWords fixed;
     int num_correcting = 0;
     for (int cw = 0; cw < 2; ++cw) {
-        c.fixes[cw] = fixSscOneShot(18, s + 2 * cw);
-        if (c.fixes[cw].status == RsDecode::Status::due)
-            return {EntryDecode::Status::due, {}};
-        if (c.fixes[cw].status == RsDecode::Status::corrected)
-            ++num_correcting;
-    }
-    if (csc_ && num_correcting >= 2 &&
-        !correctionSanityCheckPasses(flipsOf(c.fixes)))
-        return {EntryDecode::Status::due, {}};
-    if (num_correcting)
-        c.status = EntryDecode::Status::corrected;
-    return c;
-}
-
-/**
- * Allocation-free fast decode: nibble-gathered symbols on the stack,
- * syndromes via the plan's precomputed tables, correction decisions
- * from correct(). Decision-for-decision identical to the reference
- * path below (the differential tests enforce it).
- */
-EntryDecode
-InterleavedSscScheme::decodeFast(const Bits288& received) const
-{
-    std::uint8_t cws[2][18];
-    for (int cw = 0; cw < 2; ++cw) {
-        for (int pos = 0; pos < 18; ++pos) {
-            const int lo = physicalBit(cw, pos, 0);
-            const int hi = physicalBit(cw, pos, 4);
-            cws[cw][pos] = static_cast<std::uint8_t>(
-                physNibble(received, lo)
-                | (physNibble(received, hi) << 4));
+        const RsFix fix = fixSscOneShot(18, s.data() + 2 * cw);
+        if (fix.status == RsDecode::Status::due)
+            return false;
+        for (int e = 0; e < fix.num_errors; ++e) {
+            fixed.orField(physicalBit(cw, fix.pos[e], 0), fix.mag[e] & 0xf);
+            fixed.orField(physicalBit(cw, fix.pos[e], 4), fix.mag[e] >> 4);
         }
+        num_correcting += fix.status == RsDecode::Status::corrected;
     }
-
-    std::uint8_t s[4];
-    for (int cw = 0; cw < 2; ++cw)
-        plan_.syndromesScalar(cws[cw], s + 2 * cw);
-    const Correction c = correct(s);
-    if (c.status == EntryDecode::Status::due)
-        return {EntryDecode::Status::due, EntryData{}};
-
-    std::array<std::uint8_t, 32> bytes{};
-    for (int cw = 0; cw < 2; ++cw) {
-        for (int e = 0; e < c.fixes[cw].num_errors; ++e)
-            cws[cw][c.fixes[cw].pos[e]] ^= c.fixes[cw].mag[e];
-        for (int pos = 2; pos < 18; ++pos)
-            bytes[16 * cw + (pos - 2)] = cws[cw][pos];
-    }
-    return {c.status, bytesToData(bytes)};
+    flips = fixed.toBits();
+    return !csc_ || num_correcting < 2
+           || correctionSanityCheckPasses(flips);
 }
 
 EntryDecode
@@ -354,97 +343,6 @@ InterleavedSscScheme::decodeReference(const Bits288& received) const
 }
 
 void
-InterleavedSscScheme::decodeBatch(const Bits288* received,
-                                  EntryDecode* out, std::size_t n) const
-{
-    if (useReferenceCodec()) {
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = decodeReference(received[i]);
-        return;
-    }
-    decodeBatchFast(received, out, n);
-}
-
-void
-InterleavedSscScheme::decodeBatchFast(const Bits288* received,
-                                      EntryDecode* out,
-                                      std::size_t n) const
-{
-    // Column-major symbol staging: cols[cw][pos * kRsTile + e] is
-    // symbol `pos` of codeword `cw` of entry `e` in the tile.
-    std::uint8_t cols[2][18 * kRsTile];
-    std::uint8_t synd[2][2 * kRsTile];
-    std::uint8_t suspect[kRsTile];
-
-    for (std::size_t base = 0; base < n; base += kRsTile) {
-        const std::size_t count = std::min(kRsTile, n - base);
-
-        for (int cw = 0; cw < 2; ++cw) {
-            for (int pos = 0; pos < 18; ++pos) {
-                const int lo = physicalBit(cw, pos, 0);
-                const int hi = physicalBit(cw, pos, 4);
-                std::uint8_t* col = cols[cw] + pos * kRsTile;
-                for (std::size_t e = 0; e < count; ++e) {
-                    const Bits288& entry = received[base + e];
-                    col[e] = static_cast<std::uint8_t>(
-                        physNibble(entry, lo)
-                        | (physNibble(entry, hi) << 4));
-                }
-            }
-        }
-
-        for (int cw = 0; cw < 2; ++cw)
-            plan_.syndromesBulk(isa_, cols[cw], kRsTile, count,
-                                synd[cw]);
-
-        // Bulk all-zero-syndrome early-out across both codewords.
-        std::memset(suspect, 0, count);
-        for (int cw = 0; cw < 2; ++cw) {
-            for (int j = 0; j < 2; ++j)
-                gf256::orAccBuf(synd[cw] + j * kRsTile, suspect,
-                                count);
-        }
-
-        for (std::size_t e = 0; e < count; ++e) {
-            std::array<std::uint8_t, 32> bytes{};
-            if (suspect[e] == 0) {
-                for (int cw = 0; cw < 2; ++cw) {
-                    for (int pos = 2; pos < 18; ++pos) {
-                        bytes[16 * cw + (pos - 2)] =
-                            cols[cw][pos * kRsTile + e];
-                    }
-                }
-                out[base + e] = {EntryDecode::Status::clean,
-                                 bytesToData(bytes)};
-                continue;
-            }
-
-            // Suspect: correct() from the already-computed
-            // syndromes — the same decisions decodeFast() makes.
-            const std::uint8_t s[4] = {
-                synd[0][0 * kRsTile + e], synd[0][1 * kRsTile + e],
-                synd[1][0 * kRsTile + e], synd[1][1 * kRsTile + e]};
-            const Correction c = correct(s);
-            if (c.status == EntryDecode::Status::due) {
-                out[base + e] = {EntryDecode::Status::due, EntryData{}};
-                continue;
-            }
-
-            for (int cw = 0; cw < 2; ++cw) {
-                std::uint8_t word[18];
-                for (int pos = 0; pos < 18; ++pos)
-                    word[pos] = cols[cw][pos * kRsTile + e];
-                for (int k = 0; k < c.fixes[cw].num_errors; ++k)
-                    word[c.fixes[cw].pos[k]] ^= c.fixes[cw].mag[k];
-                for (int pos = 2; pos < 18; ++pos)
-                    bytes[16 * cw + (pos - 2)] = word[pos];
-            }
-            out[base + e] = {c.status, bytesToData(bytes)};
-        }
-    }
-}
-
-void
 InterleavedSscScheme::classifyErrorBatch(const Bits288& codeword,
                                          const EntryData& data,
                                          const Bits288* errors,
@@ -466,13 +364,8 @@ InterleavedSscScheme::classifyErrorBatch(const Bits288& codeword,
     }
     classifyBySyndrome(syn_, data_bits_, codeword, placed.toBits(),
                        errors, out, n,
-                       [&](std::uint32_t syn, Bits288& flips) {
-                           const auto s = unpackSyndromes(syn);
-                           const Correction c = correct(s.data());
-                           if (c.status == EntryDecode::Status::due)
-                               return false;
-                           flips = flipsOf(c.fixes);
-                           return true;
+                       [this](std::uint32_t syn, Bits288& flips) {
+                           return decide(syn, flips);
                        });
 }
 
@@ -511,8 +404,7 @@ InterleavedSscScheme::decodeWithPinErasure(const Bits288& received,
 // ---------------------------------------------------------------------
 
 Rs3632Scheme::Rs3632Scheme(Decoder decoder)
-    : code_(36, 32), decoder_(decoder), plan_(code_),
-      isa_(gf256::bestIsa()),
+    : code_(36, 32), decoder_(decoder),
       syn_([bits = rs3632BitSyndromes()](int phys) { return bits[phys]; })
 {
     for (int pos = 4; pos < 36; ++pos) {
@@ -581,45 +473,29 @@ Rs3632Scheme::encode(const EntryData& data) const
 EntryDecode
 Rs3632Scheme::decode(const Bits288& received) const
 {
-    return useReferenceCodec() ? decodeReference(received)
-                               : decodeFast(received);
+    if (useReferenceCodec())
+        return decodeReference(received);
+    return decodeBySyndrome(
+        syn_, received,
+        [this](std::uint32_t syn, Bits288& flips) {
+            return decide(syn, flips);
+        },
+        rs3632Data);
 }
 
-RsFix
-Rs3632Scheme::fixFromSyndromes(const std::uint8_t* s) const
+bool
+Rs3632Scheme::decide(std::uint32_t syn, Bits288& flips) const
 {
-    return decoder_ == Decoder::dsc ? fixDsc(36, s)
-                                    : fixSscDsdPlus(36, s);
-}
-
-/**
- * Allocation-free fast decode: word-extracted symbols on the stack,
- * syndromes via the plan's precomputed tables, correction decisions
- * from the fix functions. Decision-for-decision identical to the
- * reference path below (the differential tests enforce it).
- */
-EntryDecode
-Rs3632Scheme::decodeFast(const Bits288& received) const
-{
-    std::uint8_t word[36];
-    for (int pos = 0; pos < 36; ++pos)
-        word[pos] = physByte(received, physicalByteOf(pos));
-
-    std::uint8_t s[4];
-    plan_.syndromesScalar(word, s);
-    const RsFix fix = fixFromSyndromes(s);
+    const auto s = unpackSyndromes(syn);
+    const RsFix fix = decoder_ == Decoder::dsc ? fixDsc(36, s.data())
+                                               : fixSscDsdPlus(36, s.data());
     if (fix.status == RsDecode::Status::due)
-        return {EntryDecode::Status::due, EntryData{}};
+        return false;
+    EntryWords fixed;
     for (int k = 0; k < fix.num_errors; ++k)
-        word[fix.pos[k]] ^= fix.mag[k];
-
-    std::array<std::uint8_t, 32> bytes{};
-    for (int pos = 4; pos < 36; ++pos)
-        bytes[pos - 4] = word[pos];
-    return {fix.status == RsDecode::Status::corrected
-                ? EntryDecode::Status::corrected
-                : EntryDecode::Status::clean,
-            bytesToData(bytes)};
+        fixed.orField(8 * physicalByteOf(fix.pos[k]), fix.mag[k]);
+    flips = fixed.toBits();
+    return true;
 }
 
 EntryDecode
@@ -652,80 +528,6 @@ Rs3632Scheme::decodeReference(const Bits288& received) const
 }
 
 void
-Rs3632Scheme::decodeBatch(const Bits288* received, EntryDecode* out,
-                          std::size_t n) const
-{
-    if (useReferenceCodec()) {
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = decodeReference(received[i]);
-        return;
-    }
-    decodeBatchFast(received, out, n);
-}
-
-void
-Rs3632Scheme::decodeBatchFast(const Bits288* received,
-                              EntryDecode* out, std::size_t n) const
-{
-    // Column-major symbol staging: cols[pos * kRsTile + e] is code
-    // position `pos` of entry `e` in the tile.
-    std::uint8_t cols[36 * kRsTile];
-    std::uint8_t synd[4 * kRsTile];
-    std::uint8_t suspect[kRsTile];
-
-    for (std::size_t base = 0; base < n; base += kRsTile) {
-        const std::size_t count = std::min(kRsTile, n - base);
-
-        for (int pos = 0; pos < 36; ++pos) {
-            const int b = physicalByteOf(pos);
-            std::uint8_t* col = cols + pos * kRsTile;
-            for (std::size_t e = 0; e < count; ++e)
-                col[e] = physByte(received[base + e], b);
-        }
-
-        plan_.syndromesBulk(isa_, cols, kRsTile, count, synd);
-
-        // Bulk all-zero-syndrome early-out.
-        std::memset(suspect, 0, count);
-        for (int j = 0; j < 4; ++j)
-            gf256::orAccBuf(synd + j * kRsTile, suspect, count);
-
-        for (std::size_t e = 0; e < count; ++e) {
-            std::array<std::uint8_t, 32> bytes{};
-            if (suspect[e] == 0) {
-                for (int pos = 4; pos < 36; ++pos)
-                    bytes[pos - 4] = cols[pos * kRsTile + e];
-                out[base + e] = {EntryDecode::Status::clean,
-                                 bytesToData(bytes)};
-                continue;
-            }
-
-            // Suspect: scalar fix from the already-computed
-            // syndromes — the same decisions decodeFast() makes.
-            const std::uint8_t s[4] = {
-                synd[0 * kRsTile + e], synd[1 * kRsTile + e],
-                synd[2 * kRsTile + e], synd[3 * kRsTile + e]};
-            const RsFix fix = fixFromSyndromes(s);
-            if (fix.status == RsDecode::Status::due) {
-                out[base + e] = {EntryDecode::Status::due, EntryData{}};
-                continue;
-            }
-            std::uint8_t word[36];
-            for (int pos = 0; pos < 36; ++pos)
-                word[pos] = cols[pos * kRsTile + e];
-            for (int k = 0; k < fix.num_errors; ++k)
-                word[fix.pos[k]] ^= fix.mag[k];
-            for (int pos = 4; pos < 36; ++pos)
-                bytes[pos - 4] = word[pos];
-            out[base + e] = {fix.status == RsDecode::Status::corrected
-                                 ? EntryDecode::Status::corrected
-                                 : EntryDecode::Status::clean,
-                             bytesToData(bytes)};
-        }
-    }
-}
-
-void
 Rs3632Scheme::classifyErrorBatch(const Bits288& codeword,
                                  const EntryData& data,
                                  const Bits288* errors, ErrorOutcome* out,
@@ -741,18 +543,8 @@ Rs3632Scheme::classifyErrorBatch(const Bits288& codeword,
         placed.orField(8 * physicalByteOf(pos), bytes[pos - 4]);
     classifyBySyndrome(syn_, data_bits_, codeword, placed.toBits(),
                        errors, out, n,
-                       [&](std::uint32_t syn, Bits288& flips) {
-                           const auto s = unpackSyndromes(syn);
-                           const RsFix fix = fixFromSyndromes(s.data());
-                           if (fix.status == RsDecode::Status::due)
-                               return false;
-                           EntryWords fixed;
-                           for (int k = 0; k < fix.num_errors; ++k) {
-                               fixed.orField(8 * physicalByteOf(fix.pos[k]),
-                                             fix.mag[k]);
-                           }
-                           flips = fixed.toBits();
-                           return true;
+                       [this](std::uint32_t syn, Bits288& flips) {
+                           return decide(syn, flips);
                        });
 }
 

@@ -23,11 +23,12 @@
 #define GPUECC_ECC_RS_SCHEME_HPP
 
 #include <array>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "ecc/error_domain.hpp"
 #include "ecc/scheme.hpp"
-#include "gf256/gf256_vec.hpp"
 #include "rs/batch.hpp"
 #include "rs/decoders.hpp"
 #include "rs/rs_code.hpp"
@@ -70,19 +71,8 @@ class InterleavedSscScheme : public EntryScheme
                                      int pin) const override;
 
     /**
-     * Batched decode on the SoA/SIMD path: symbols of all entries
-     * are gathered column-major, both codewords' syndromes are
-     * accumulated with the gf256 bulk kernels, clean entries retire
-     * on the bulk all-zero-syndrome test, and only suspects run the
-     * scalar one-shot fix. Element-wise identical to decode(); falls
-     * back to the per-entry loop under GPUECC_REFERENCE_CODEC.
-     */
-    void decodeBatch(const Bits288* received, EntryDecode* out,
-                     std::size_t n) const override;
-
-    /**
      * Error-domain classification: both codewords' syndromes from
-     * one packed table over the mask's nonzero bytes, then correct().
+     * one packed table over the mask's nonzero bytes, then decide().
      * The inject/decode/compare default under GPUECC_REFERENCE_CODEC.
      */
     void classifyErrorBatch(const Bits288& codeword,
@@ -91,35 +81,22 @@ class InterleavedSscScheme : public EntryScheme
                             std::size_t n) const override;
 
   private:
-    /** An entry's decision: both codewords' fixes, after the CSC. */
-    struct Correction
-    {
-        EntryDecode::Status status;
-        std::array<RsFix, 2> fixes;
-    };
-
     /**
-     * fixSscOneShot per codeword, then the CSC when both correct: the
-     * one copy of the decision every decode path and the classifier
-     * share. `s` holds S0, S1 of codeword 0, then of codeword 1.
+     * The entry's decision from a nonzero packed syndrome (S0, S1 of
+     * codeword 0, then of codeword 1): fixSscOneShot per codeword,
+     * then the CSC when both correct. False for a DUE; otherwise
+     * `flips` holds the physical bits corrected. The one copy decode()
+     * and the classifier share.
      */
-    Correction correct(const std::uint8_t* s) const;
-
-    /** Physical bits the fixes flip. */
-    static Bits288 flipsOf(const std::array<RsFix, 2>& fixes);
+    bool decide(std::uint32_t syn, Bits288& flips) const;
 
     std::array<std::vector<std::uint8_t>, 2>
     gatherCodewords(const Bits288& physical) const;
 
-    EntryDecode decodeFast(const Bits288& received) const;
     EntryDecode decodeReference(const Bits288& received) const;
-    void decodeBatchFast(const Bits288* received, EntryDecode* out,
-                         std::size_t n) const;
 
     RsCode code_;
     bool csc_;
-    RsSyndromePlan plan_;       //!< per-(syndrome, position) tables
-    gf256::VecIsa isa_;         //!< vector ISA fixed at construction
     /** Physical byte -> S0, S1 of codeword 0, then of codeword 1. */
     PackedSyndromeTable syn_;
     Bits288 data_bits_;         //!< physical positions of data bits
@@ -161,20 +138,8 @@ class Rs3632Scheme : public EntryScheme
                                      int pin) const override;
 
     /**
-     * Batched decode on the SoA/SIMD path: the 36 physical symbol
-     * columns of all entries are gathered column-major, the four
-     * syndromes are accumulated with the gf256 bulk kernels, clean
-     * entries retire on the bulk all-zero-syndrome test, and only
-     * suspects run the scalar locator/magnitude fix. Element-wise
-     * identical to decode(); falls back to the per-entry loop under
-     * GPUECC_REFERENCE_CODEC.
-     */
-    void decodeBatch(const Bits288* received, EntryDecode* out,
-                     std::size_t n) const override;
-
-    /**
      * Error-domain classification: S0..S3 from one packed table over
-     * the mask's nonzero bytes, then fixFromSyndromes(). The
+     * the mask's nonzero bytes, then decide(). The
      * inject/decode/compare default under GPUECC_REFERENCE_CODEC.
      */
     void classifyErrorBatch(const Bits288& codeword,
@@ -183,18 +148,18 @@ class Rs3632Scheme : public EntryScheme
                             std::size_t n) const override;
 
   private:
-    EntryDecode decodeFast(const Bits288& received) const;
+    /**
+     * The decoder's decision from nonzero packed S0..S3 (fixSscDsdPlus
+     * or fixDsc): false for a DUE, otherwise `flips` holds the
+     * physical bits corrected. The one copy decode() and the
+     * classifier share.
+     */
+    bool decide(std::uint32_t syn, Bits288& flips) const;
+
     EntryDecode decodeReference(const Bits288& received) const;
-    void decodeBatchFast(const Bits288* received, EntryDecode* out,
-                         std::size_t n) const;
-    /** The decoder's decision from S0..S3: the one copy every decode
-     *  path and the classifier share. */
-    RsFix fixFromSyndromes(const std::uint8_t* s) const;
 
     RsCode code_;
     Decoder decoder_;
-    RsSyndromePlan plan_;       //!< per-(syndrome, position) tables
-    gf256::VecIsa isa_;         //!< vector ISA fixed at construction
     /** Physical byte -> S0 | S1 << 8 | S2 << 16 | S3 << 24. */
     PackedSyndromeTable syn_;
     Bits288 data_bits_;         //!< physical positions of data bits

@@ -69,13 +69,12 @@ class EntryScheme
     /**
      * Decode `n` physical entries in one call.
      *
-     * One virtual dispatch amortized over a whole structure-of-arrays
-     * batch instead of one per entry (bench_throughput's decode
-     * rates and the default classifyErrorBatch() run on it). Results
-     * must be element-wise identical to n calls of decode() — the
-     * default loop guarantees that for every scheme; organizations
-     * with a compiled fast path override it to devirtualize the
-     * inner loop as well.
+     * Results must be element-wise identical to n calls of decode(),
+     * which this loop guarantees. bench_throughput's batched decode
+     * rate, perfbench's staged replay and the default
+     * classifyErrorBatch() run on it; the library's schemes do not
+     * override it, because the shard kernel classifies error masks
+     * instead of decoding received words.
      */
     virtual void
     decodeBatch(const Bits288* received, EntryDecode* out,

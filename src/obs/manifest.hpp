@@ -123,8 +123,9 @@ struct RunManifest
     BuildInfo build;
     int threads = 0;
     std::string codec_backend;
-    /** Dispatched gf256 vector ISA ("avx2", "ssse3", "neon",
-        "scalar"); "" for tools predating the SIMD RS path. */
+    /** gf256 vector ISA the bulk kernels select ("avx2", "ssse3",
+        "neon", "scalar"); no codec dispatches to it. "" for tools
+        predating the field. */
     std::string simd_isa;
     std::string chaos; //!< GPUECC_CHAOS env text, "" when unset
     std::uint64_t samples = 0;

@@ -1,6 +1,5 @@
 #include "rs/batch.hpp"
 
-#include "common/log.hpp"
 #include "gf256/gf256.hpp"
 
 namespace gpuecc {
@@ -116,50 +115,6 @@ fixDsc(int n, const std::uint8_t* s)
         }
     }
     return kDue;
-}
-
-RsSyndromePlan::RsSyndromePlan(const RsCode& code)
-    : n_(code.n()), r_(code.r())
-{
-    tables_.reserve(static_cast<std::size_t>(r_) * n_);
-    for (int j = 0; j < r_; ++j) {
-        for (int i = 0; i < n_; ++i)
-            tables_.push_back(gf256::mulTables(gf256::alphaPow(j * i)));
-    }
-}
-
-void
-RsSyndromePlan::syndromesScalar(const std::uint8_t* word,
-                                std::uint8_t* s) const
-{
-    for (int j = 0; j < r_; ++j) {
-        const gf256::MulTables* row = tables_.data()
-                                      + static_cast<std::size_t>(j) * n_;
-        std::uint8_t acc = 0;
-        for (int i = 0; i < n_; ++i)
-            acc ^= gf256::mulTab(row[i], word[i]);
-        s[j] = acc;
-    }
-}
-
-void
-RsSyndromePlan::syndromesBulk(gf256::VecIsa isa,
-                              const std::uint8_t* cols,
-                              std::size_t stride, std::size_t count,
-                              std::uint8_t* synd) const
-{
-    require(count <= stride, "syndromesBulk: count exceeds stride");
-    for (int j = 0; j < r_; ++j) {
-        std::uint8_t* acc = synd + static_cast<std::size_t>(j) * stride;
-        for (std::size_t e = 0; e < count; ++e)
-            acc[e] = 0;
-        const gf256::MulTables* row = tables_.data()
-                                      + static_cast<std::size_t>(j) * n_;
-        for (int i = 0; i < n_; ++i) {
-            gf256::mulConstXorAccBuf(isa, row[i], cols + i * stride,
-                                     acc, count);
-        }
-    }
 }
 
 } // namespace gpuecc

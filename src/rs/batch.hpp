@@ -1,19 +1,16 @@
 /**
  * @file
- * Batched Reed-Solomon decode support: a precomputed syndrome plan
- * lowering S_j = sum_i received[i] * alpha^(j*i) onto the gf256
- * vector kernels, and allocation-free "fix" variants of the scalar
- * decoders that work from already-computed syndromes.
+ * Reed-Solomon decisions from syndromes alone: allocation-free "fix"
+ * variants of the scalar decoders that take already-computed
+ * syndromes and return the positions and magnitudes to patch.
  *
- * The split mirrors the shape of the hot path: for a shard batch the
- * syndromes of every entry are accumulated symbol-column-wise (one
- * mulConstXorAccBuf per (syndrome, position) over the whole batch),
- * the overwhelmingly common all-zero case is retired in bulk, and
- * only suspect entries run a scalar locator/magnitude fix. The fix
- * functions are transliterations of decodeSscOneShot /
- * decodeSscDsdPlus / decodeDsc with the syndrome computation factored
- * out — the differential tests diff them against those oracles
- * decision-for-decision.
+ * The RS entry schemes compute their syndromes from one packed table
+ * per scheme (ecc/error_domain.hpp) and decide through these
+ * functions, in both decode() and the shard kernel's
+ * classifyErrorBatch(). They are transliterations of
+ * decodeSscOneShot / decodeSscDsdPlus / decodeDsc with the syndrome
+ * computation factored out — the differential tests diff them
+ * against those oracles decision-for-decision.
  */
 
 #ifndef GPUECC_RS_BATCH_HPP
@@ -21,11 +18,8 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
-#include "gf256/gf256_vec.hpp"
 #include "rs/decoders.hpp"
-#include "rs/rs_code.hpp"
 
 namespace gpuecc {
 
@@ -50,38 +44,6 @@ RsFix fixSscDsdPlus(int n, const std::uint8_t* s);
  *  accepted only if it reproduces S_2 and S_3 (S_0 and S_1 hold by
  *  construction of the magnitudes). */
 RsFix fixDsc(int n, const std::uint8_t* s);
-
-/**
- * Precomputed nibble-split multiply tables for every alpha^(j*i)
- * term of an RsCode's syndrome map, plus the bulk and scalar
- * evaluators built on them.
- */
-class RsSyndromePlan
-{
-  public:
-    explicit RsSyndromePlan(const RsCode& code);
-
-    int n() const { return n_; }
-    int r() const { return r_; }
-
-    /** Syndromes of one word (n symbols) via the nibble tables. */
-    void syndromesScalar(const std::uint8_t* word,
-                         std::uint8_t* s) const;
-
-    /**
-     * Column-wise syndromes of `count` words stored column-major:
-     * cols[i * stride + e] is symbol i of word e. On return
-     * synd[j * stride + e] is S_j of word e. Requires count <= stride.
-     */
-    void syndromesBulk(gf256::VecIsa isa, const std::uint8_t* cols,
-                       std::size_t stride, std::size_t count,
-                       std::uint8_t* synd) const;
-
-  private:
-    int n_;
-    int r_;
-    std::vector<gf256::MulTables> tables_; //!< [j * n + i]
-};
 
 } // namespace gpuecc
 

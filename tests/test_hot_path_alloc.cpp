@@ -6,7 +6,8 @@
  * one that counts calls on the calling thread, and asserts a count of
  * zero across the calls a trial makes: GF(2^8) arithmetic, the RS
  * fix functions, mask classification and sampling, each registry
- * scheme's classifyErrorBatch, and a warmed-up batched shard kernel.
+ * scheme's classifyErrorBatch and compiled decode, and a warmed-up
+ * batched shard kernel.
  * A stray allocation there — a std::string built for a passing check,
  * a std::function holding a capturing lambda — costs more than the
  * trial's arithmetic.
@@ -222,6 +223,42 @@ TEST_F(HotPathAllocations, EverySchemeClassifyErrorBatch)
                   }),
                   0u)
             << id;
+    }
+}
+
+TEST_F(HotPathAllocations, EverySchemeDecode)
+{
+    // A clean word, a corrected 1-bit error and a DUE through each
+    // scheme's compiled decode(); the DUE mask is found beforehand.
+    Rng rng(0xDEC0DE);
+    for (const std::string& id : schemeIds()) {
+        const auto scheme = makeScheme(id);
+        const GoldenEntry golden = makeGolden(*scheme, 0x5EED);
+        Bits288 flipped = golden.entry;
+        flipped.flip(100);
+        Bits288 due_word;
+        bool found = false;
+        for (int i = 0; i < 10000 && !found; ++i) {
+            due_word =
+                golden.entry ^ sampleErrorMask(ErrorPattern::wholeEntry, rng);
+            found = scheme->decode(due_word).status
+                    == EntryDecode::Status::due;
+        }
+        ASSERT_TRUE(found) << id;
+
+        EntryDecode clean, corrected, due;
+        EXPECT_EQ(allocationsDuring([&] {
+                      clean = scheme->decode(golden.entry);
+                      corrected = scheme->decode(flipped);
+                      due = scheme->decode(due_word);
+                  }),
+                  0u)
+            << id;
+        EXPECT_EQ(clean.status, EntryDecode::Status::clean) << id;
+        EXPECT_EQ(clean.data, golden.data) << id;
+        EXPECT_EQ(corrected.status, EntryDecode::Status::corrected) << id;
+        EXPECT_EQ(corrected.data, golden.data) << id;
+        EXPECT_EQ(due.status, EntryDecode::Status::due) << id;
     }
 }
 

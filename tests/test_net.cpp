@@ -400,11 +400,13 @@ expectCellsIdentical(const sim::CampaignResult& a,
  * Fork a fleet agent process aimed at the local service. Must run
  * before service->run() (the process is still single-threaded; the
  * connect waits in the listener backlog). Sibling pipe fds accumulate
- * in @p inherited so later children do not hold them open.
+ * in @p inherited so later children do not hold them open. With
+ * @p wait_for_go the agent connects only after a line arrives on its
+ * to_child pipe, or after every writer of that pipe has closed it.
  */
 ChildProcess
 forkAgent(int port, const std::string& secret, const std::string& name,
-          std::vector<int>& inherited)
+          std::vector<int>& inherited, bool wait_for_go = false)
 {
     net::FleetAgentOptions options;
     options.port = port;
@@ -416,7 +418,11 @@ forkAgent(int port, const std::string& secret, const std::string& name,
     options.backoff_max_s = 0.5;
     options.max_reconnects = 50;
     auto spawned = spawnChild(
-        [options](int, int) { return net::runFleetAgent(options); },
+        [options, wait_for_go](int read_fd, int) {
+            if (wait_for_go)
+                (void)LineReader(read_fd).readLine();
+            return net::runFleetAgent(options);
+        },
         inherited);
     EXPECT_TRUE(spawned.ok()) << spawned.status().toString();
     if (!spawned.ok())
@@ -437,10 +443,12 @@ reapAgent(ChildProcess& agent)
  * Fork a hand-rolled agent: it passes the handshake like a real one,
  * then answers its first unit with a unit_error naming @p bogus_unit —
  * a faulty authenticated host. Exits 0 once the server hangs up on it.
+ * Once it holds that unit it writes a line to @p holds_unit_fd.
  */
 ChildProcess
 forkBogusUnitAgent(int port, const std::string& secret,
-                   std::uint64_t bogus_unit, std::vector<int>& inherited)
+                   std::uint64_t bogus_unit, int holds_unit_fd,
+                   std::vector<int>& inherited)
 {
     auto spawned = spawnChild(
         [=](int, int) {
@@ -471,6 +479,7 @@ forkBogusUnitAgent(int port, const std::string& secret,
             if (!unit.ok() ||
                 unit.value().kind != sim::fleet::ServerMessage::Kind::unit)
                 return 13;
+            (void)writeAllFd(holds_unit_fd, "go\n");
             (void)writeAllFd(sock, sim::fleet::encodeUnitErrorLine(
                                        bogus_unit, welcome.value().worker,
                                        "bogus unit index"));
@@ -622,18 +631,25 @@ TEST(FleetService, UnknownUnitIndexRetiresTheHost)
     const sim::CampaignSpec spec = serviceSpec();
     auto service = net::FleetService::create(spec);
     ASSERT_TRUE(service.ok()) << service.status().toString();
-    // Forked first so it is accepted, and handed a unit, first. Its
-    // unit_error names a unit far outside the plan; the server must
-    // reject the index instead of settling it, requeue the unit in
-    // flight and retire the host. The honest agent finishes the run.
+    // The bogus agent must hold a unit before the honest one
+    // connects, or the honest agent can drain the small plan first.
+    // So the honest agent waits for a line on its to_child pipe, which
+    // only the bogus agent keeps open and writes once its unit
+    // arrives (an early exit closes it instead). The bogus unit_error
+    // names a unit far outside the plan; the server must reject the
+    // index instead of settling it, requeue the unit in flight and
+    // retire the host. The honest agent finishes the run.
     std::vector<int> inherited;
+    ChildProcess honest = forkAgent(service.value()->port(),
+                                    spec.fleet_secret, "honest",
+                                    inherited, /*wait_for_go=*/true);
+    std::vector<int> bogus_inherited = {honest.from_child};
     ChildProcess bogus = forkBogusUnitAgent(service.value()->port(),
                                             spec.fleet_secret,
                                             std::uint64_t{1} << 40,
-                                            inherited);
-    ChildProcess honest = forkAgent(service.value()->port(),
-                                    spec.fleet_secret, "honest",
-                                    inherited);
+                                            honest.to_child,
+                                            bogus_inherited);
+    closeFd(honest.to_child);
 
     const auto result = service.value()->run();
     ASSERT_TRUE(result.ok()) << result.status().toString();
