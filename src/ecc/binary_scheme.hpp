@@ -82,6 +82,15 @@ class BinaryEntryScheme : public EntryScheme
         codec_.classifyErrorBatch(codeword, data, errors, out, n);
     }
 
+    /** The compiled codec's decision (CompiledBinaryCodec::decide). */
+    bool
+    decide(std::uint32_t syn, Bits288& flips) const override
+    {
+        return codec_.decide(syn, flips);
+    }
+
+    const Bits288& dataBits() const override { return codec_.dataBits(); }
+
     /** The original per-codeword encode (the differential oracle). */
     Bits288 encodeReference(const EntryData& data) const;
 
@@ -107,6 +116,13 @@ class BinaryEntryScheme : public EntryScheme
 
     /** The compiled fast-path codec (tables built at construction). */
     const CompiledBinaryCodec& compiledCodec() const { return codec_; }
+
+  protected:
+    const PackedSyndromeTable*
+    syndromeTable() const override
+    {
+        return &codec_.syndromeTable();
+    }
 
   private:
     std::shared_ptr<const Code72> code_;

@@ -163,10 +163,8 @@ CompiledBinaryCodec::classifyErrorBatch(const Bits288& codeword,
     // encode() places the data bits (and check bits, which the data
     // mask drops) exactly where decode() extracts them from.
     classifyBySyndrome(syn_, data_bits_, codeword, encode(data), errors,
-                       out, n, [&](std::uint32_t syn, Bits288& flips) {
-                           const Correction c = correct(syn);
-                           flips = c.flips;
-                           return c.status != EntryDecode::Status::due;
+                       out, n, [this](std::uint32_t syn, Bits288& flips) {
+                           return decide(syn, flips);
                        });
 }
 

@@ -72,6 +72,25 @@ class CompiledBinaryCodec
                             const Bits288* errors, ErrorOutcome* out,
                             std::size_t n) const;
 
+    /**
+     * The entry's decision from a nonzero packed syndrome (the
+     * EntryScheme::decide contract): the per-codeword fixes, then the
+     * CSC, as decode() applies them.
+     */
+    bool
+    decide(std::uint32_t syn, Bits288& flips) const
+    {
+        const Correction c = correct(syn);
+        flips = c.flips;
+        return c.status != EntryDecode::Status::due;
+    }
+
+    /** Physical byte -> packed syndromes (byte c: codeword c's). */
+    const PackedSyndromeTable& syndromeTable() const { return syn_; }
+
+    /** Physical positions of the 256 data bits. */
+    const Bits288& dataBits() const { return data_bits_; }
+
     /** Total compiled-table footprint in bytes (for memory audits). */
     static constexpr std::size_t
     memoryBytes()
@@ -104,21 +123,19 @@ class CompiledBinaryCodec
 
     /**
      * Per-codeword fix lookups, then the CSC when >= 2 codewords
-     * correct: the one copy of the decision decode() and
-     * classifyErrorBatch() share.
+     * correct: the one copy of the decision decode() and decide()
+     * share.
      */
     Correction correct(std::uint32_t syn) const;
 
     std::shared_ptr<const Code72> code_; //!< keeps the tables' source alive
     bool csc_;
-    /** Physical byte -> packed syndromes (byte c: codeword c's). */
-    PackedSyndromeTable syn_;
+    PackedSyndromeTable syn_; //!< see syndromeTable()
     /** Physical byte -> contribution to the four data words. */
     std::array<std::array<std::array<std::uint64_t, 4>, 256>,
                layout::num_bytes>
         data_;
-    /** Physical positions of the 256 data bits. */
-    Bits288 data_bits_;
+    Bits288 data_bits_; //!< see dataBits()
     std::array<std::array<Fix, 256>, layout::num_codewords> fix_;
     /** Data byte -> physical-entry contribution (data + check bits). */
     std::array<std::array<Bits288, 256>, 32> enc_;

@@ -21,6 +21,10 @@
  * received word (decodeBySyndrome): its packed syndrome, the same
  * decision, then the flips XORed in before the data is extracted.
  *
+ * The table, the decision and the data-bit set are public as each
+ * scheme's syndrome core (EntryScheme::syndromeCore, decide,
+ * dataBits); the shard kernel counts exhaustive cells through it.
+ *
  * tests/test_error_domain.cpp checks the result against inject +
  * decode + compare, mask for mask, for every registered scheme.
  */
@@ -73,6 +77,13 @@ class PackedSyndromeTable
     at(int byte, unsigned value) const
     {
         return table_[byte][value];
+    }
+
+    /** Packed syndrome of a single-bit error at physical bit `phys`. */
+    std::uint32_t
+    bit(int phys) const
+    {
+        return table_[phys >> 3][1u << (phys & 7)];
     }
 
     /** Packed syndrome of `word`: one lookup per nonzero byte. */

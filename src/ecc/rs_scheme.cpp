@@ -248,9 +248,8 @@ InterleavedSscScheme::encode(const EntryData& data) const
     Bits288 physical;
     EntryWords fast;
     for (int cw = 0; cw < 2; ++cw) {
-        std::vector<std::uint8_t> payload(bytes.begin() + 16 * cw,
-                                          bytes.begin() + 16 * (cw + 1));
-        const std::vector<std::uint8_t> encoded = code_.encode(payload);
+        std::array<std::uint8_t, 18> encoded;
+        code_.encode(bytes.data() + 16 * cw, encoded.data());
         for (int pos = 0; pos < 18; ++pos) {
             if (reference) {
                 for (int t = 0; t < 8; ++t) {
@@ -451,8 +450,8 @@ Bits288
 Rs3632Scheme::encode(const EntryData& data) const
 {
     const auto bytes = dataToBytes(data);
-    const std::vector<std::uint8_t> payload(bytes.begin(), bytes.end());
-    const std::vector<std::uint8_t> encoded = code_.encode(payload);
+    std::array<std::uint8_t, 36> encoded;
+    code_.encode(bytes.data(), encoded.data());
     if (!useReferenceCodec()) {
         EntryWords fast;
         for (int pos = 0; pos < 36; ++pos)

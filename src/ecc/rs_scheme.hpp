@@ -80,7 +80,6 @@ class InterleavedSscScheme : public EntryScheme
                             const Bits288* errors, ErrorOutcome* out,
                             std::size_t n) const override;
 
-  private:
     /**
      * The entry's decision from a nonzero packed syndrome (S0, S1 of
      * codeword 0, then of codeword 1): fixSscOneShot per codeword,
@@ -88,8 +87,18 @@ class InterleavedSscScheme : public EntryScheme
      * `flips` holds the physical bits corrected. The one copy decode()
      * and the classifier share.
      */
-    bool decide(std::uint32_t syn, Bits288& flips) const;
+    bool decide(std::uint32_t syn, Bits288& flips) const override;
 
+    const Bits288& dataBits() const override { return data_bits_; }
+
+  protected:
+    const PackedSyndromeTable*
+    syndromeTable() const override
+    {
+        return &syn_;
+    }
+
+  private:
     std::array<std::vector<std::uint8_t>, 2>
     gatherCodewords(const Bits288& physical) const;
 
@@ -147,15 +156,24 @@ class Rs3632Scheme : public EntryScheme
                             const Bits288* errors, ErrorOutcome* out,
                             std::size_t n) const override;
 
-  private:
     /**
      * The decoder's decision from nonzero packed S0..S3 (fixSscDsdPlus
      * or fixDsc): false for a DUE, otherwise `flips` holds the
      * physical bits corrected. The one copy decode() and the
      * classifier share.
      */
-    bool decide(std::uint32_t syn, Bits288& flips) const;
+    bool decide(std::uint32_t syn, Bits288& flips) const override;
 
+    const Bits288& dataBits() const override { return data_bits_; }
+
+  protected:
+    const PackedSyndromeTable*
+    syndromeTable() const override
+    {
+        return &syn_;
+    }
+
+  private:
     EntryDecode decodeReference(const Bits288& received) const;
 
     RsCode code_;

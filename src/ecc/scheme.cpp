@@ -2,7 +2,28 @@
 
 #include <algorithm>
 
+#include "common/codec_mode.hpp"
+#include "common/log.hpp"
+
 namespace gpuecc {
+
+const PackedSyndromeTable*
+EntryScheme::syndromeCore() const
+{
+    return useReferenceCodec() ? nullptr : syndromeTable();
+}
+
+bool
+EntryScheme::decide(std::uint32_t, Bits288&) const
+{
+    panic("EntryScheme::decide: the scheme has no syndrome core");
+}
+
+const Bits288&
+EntryScheme::dataBits() const
+{
+    panic("EntryScheme::dataBits: the scheme has no syndrome core");
+}
 
 void
 EntryScheme::classifyErrorBatch(const Bits288& codeword,

@@ -7,6 +7,14 @@
  * physical entry (4 beats x 72 pins). EntryScheme abstracts over the
  * binary and symbol-based organizations so the fault-injection
  * evaluator, benches, and examples treat them uniformly.
+ *
+ * The library's schemes are linear codes whose decoder is a function
+ * of the syndrome alone, and each exposes that as its *syndrome core*
+ * (syndromeCore, decide, dataBits): enough to decide a trial
+ * from its error mask without building a received word. A scheme
+ * without one - a test double, a wrapper, or any scheme under
+ * GPUECC_REFERENCE_CODEC - is still evaluated exactly, through
+ * decode().
  */
 
 #ifndef GPUECC_ECC_SCHEME_HPP
@@ -20,6 +28,8 @@
 #include "common/bits.hpp"
 
 namespace gpuecc {
+
+class PackedSyndromeTable;
 
 /** 32B of user data: four 64-bit words. */
 using EntryData = std::array<std::uint64_t, 4>;
@@ -104,6 +114,31 @@ class EntryScheme
                                     ErrorOutcome* out,
                                     std::size_t n) const;
 
+    /**
+     * The packed syndrome table of the scheme's syndrome core
+     * (ecc/error_domain.hpp): `bit(phys)` is the syndrome of a
+     * single-bit error, `(*core)(mask)` that of a whole mask. nullptr
+     * when the core is not live: for schemes without one (test
+     * doubles, wrappers) and for every scheme under
+     * GPUECC_REFERENCE_CODEC, whose matrix decoders stay the
+     * independent oracle.
+     */
+    const PackedSyndromeTable* syndromeCore() const;
+
+    /**
+     * The decoder's decision for a nonzero packed syndrome: false for
+     * a DUE, otherwise true with `flips` set to the physical bits the
+     * decoder corrects. It is the one decision the scheme's compiled
+     * decode() and classifyErrorBatch() also run, so an error `e` on
+     * a stored codeword decodes to the stored data exactly when
+     * `(e ^ flips) & dataBits()` is empty. Requires a syndrome core.
+     */
+    virtual bool decide(std::uint32_t syn, Bits288& flips) const;
+
+    /** Physical positions of the 256 data bits; requires a syndrome
+     *  core. */
+    virtual const Bits288& dataBits() const;
+
     /** Whether the organization corrects single-pin (permanent)
      *  errors; SSC-DSD+ is the one scheme in the paper that does not. */
     virtual bool correctsPinErrors() const = 0;
@@ -123,6 +158,15 @@ class EntryScheme
     {
         (void)pin;
         return decode(received);
+    }
+
+  protected:
+    /** The compiled table behind the syndrome core, or nullptr for a
+     *  scheme without one (the default). */
+    virtual const PackedSyndromeTable*
+    syndromeTable() const
+    {
+        return nullptr;
     }
 };
 

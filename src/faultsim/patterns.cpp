@@ -236,89 +236,13 @@ forEachErrorMaskInRange(ErrorPattern p, std::uint64_t begin,
                         std::uint64_t end,
                         const std::function<void(const Bits288&)>& fn)
 {
-    require(begin <= end && end <= enumerationOuterSize(p),
-            "forEachErrorMaskInRange: bad outer slot range");
-    const int lo = static_cast<int>(begin);
-    const int hi = static_cast<int>(end);
-    std::uint64_t count = 0;
-    switch (p) {
-      case ErrorPattern::oneBit: {
-        for (int i = lo; i < hi; ++i) {
-            Bits288 mask;
-            mask.set(i, 1);
-            fn(mask);
-            ++count;
-        }
-        return count;
-      }
-      case ErrorPattern::onePin: {
-        for (int pin = lo; pin < hi; ++pin) {
-            for (unsigned m = 1; m < 16; ++m) {
-                if (popcount64(m) < 2)
-                    continue;
-                Bits288 mask;
-                for (int beat = 0; beat < layout::num_beats; ++beat) {
-                    if ((m >> beat) & 1)
-                        mask.set(layout::physicalIndex(beat, pin), 1);
-                }
-                fn(mask);
-                ++count;
-            }
-        }
-        return count;
-      }
-      case ErrorPattern::oneByte: {
-        for (int byte = lo; byte < hi; ++byte) {
-            for (unsigned m = 1; m < 256; ++m) {
-                if (popcount64(m) < 2)
-                    continue;
-                Bits288 mask;
-                for (int t = 0; t < 8; ++t) {
-                    if ((m >> t) & 1)
-                        mask.set(8 * byte + t, 1);
-                }
-                fn(mask);
-                ++count;
-            }
-        }
-        return count;
-      }
-      case ErrorPattern::twoBits: {
-        for (int a = lo; a < hi; ++a) {
-            for (int b = a + 1; b < layout::entry_bits; ++b) {
-                Bits288 mask;
-                mask.set(a, 1);
-                mask.set(b, 1);
-                if (classifyErrorMask(mask) != ErrorPattern::twoBits)
-                    continue;
-                fn(mask);
-                ++count;
-            }
-        }
-        return count;
-      }
-      case ErrorPattern::threeBits: {
-        for (int a = lo; a < hi; ++a) {
-            for (int b = a + 1; b < layout::entry_bits; ++b) {
-                for (int c = b + 1; c < layout::entry_bits; ++c) {
-                    Bits288 mask;
-                    mask.set(a, 1);
-                    mask.set(b, 1);
-                    mask.set(c, 1);
-                    if (classifyErrorMask(mask) !=
-                        ErrorPattern::threeBits) {
-                        continue;
-                    }
-                    fn(mask);
-                    ++count;
-                }
-            }
-        }
-        return count;
-      }
-      default:
-        fatal("forEachErrorMaskInRange: pattern is not enumerable");
-    }
+    return forEachErrorPositionsInRange(
+        p, begin, end, Bits288{},
+        [](Bits288 mask, int pos) {
+            mask.set(pos, 1);
+            return mask;
+        },
+        [&](const Bits288& mask, std::span<const int>) { fn(mask); });
 }
 
 std::uint64_t

@@ -14,12 +14,16 @@
 #define GPUECC_FAULTSIM_PATTERNS_HPP
 
 #include <array>
+#include <bit>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "common/bits.hpp"
+#include "common/log.hpp"
 #include "common/rng.hpp"
+#include "interleave/swizzle.hpp"
 
 namespace gpuecc {
 
@@ -93,8 +97,116 @@ std::uint64_t forEachErrorMask(ErrorPattern p,
 std::uint64_t enumerationOuterSize(ErrorPattern p);
 
 /**
- * Visit the masks of outer slots [begin, end); the full enumeration
- * is recovered with begin = 0, end = enumerationOuterSize(p).
+ * The one definition of which masks an enumerable pattern holds:
+ * visit the masks of outer slots [begin, end) as ascending lists of
+ * physical bit positions, in a fixed order.
+ *
+ * A value is folded over each mask's positions on the way:
+ * `fold(acc, pos)` adds one position to a running value that starts
+ * at `zero`, and `visit(acc, positions)` sees the value of the whole
+ * mask. Masks that share a prefix share its fold, so for two- and
+ * three-bit masks the value of the pair (a, b) is folded once and
+ * reused for every third bit. The shard kernel folds packed
+ * syndromes this way, and forEachErrorMaskInRange folds masks.
+ *
+ * Which masks a slot holds follows classifyErrorMask's priority rule,
+ * decided from the positions' pins and bytes: a pin slot holds every
+ * subset of >= 2 of its 4 bits, a byte slot every subset of >= 2 of
+ * its 8 bits, and the 2-bit (3-bit) slot of bit a every mask {a, b}
+ * ({a, b, c}), a < b (< c), whose bits do not all share one pin nor
+ * all share one byte.
+ *
+ * @return the number of masks visited
+ */
+template <typename T, typename Fold, typename Visit>
+std::uint64_t
+forEachErrorPositionsInRange(ErrorPattern p, std::uint64_t begin,
+                             std::uint64_t end, const T& zero,
+                             Fold&& fold, Visit&& visit)
+{
+    require(begin <= end && end <= enumerationOuterSize(p),
+            "forEachErrorPositionsInRange: bad outer slot range");
+    const int lo = static_cast<int>(begin);
+    const int hi = static_cast<int>(end);
+    constexpr int bits = layout::entry_bits;
+    std::uint64_t count = 0;
+    int pos[8];
+    switch (p) {
+      case ErrorPattern::oneBit:
+        for (int a = lo; a < hi; ++a) {
+            pos[0] = a;
+            visit(fold(zero, a), std::span<const int>(pos, 1));
+            ++count;
+        }
+        return count;
+      case ErrorPattern::onePin:
+      case ErrorPattern::oneByte: {
+        const bool pin = p == ErrorPattern::onePin;
+        const int width = pin ? layout::num_beats : 8;
+        for (int region = lo; region < hi; ++region) {
+            for (unsigned m = 1; m < (1u << width); ++m) {
+                if (std::popcount(m) < 2)
+                    continue;
+                T acc = zero;
+                int n = 0;
+                for (int t = 0; t < width; ++t) {
+                    if ((m >> t) & 1) {
+                        pos[n] = pin ? layout::physicalIndex(t, region)
+                                     : 8 * region + t;
+                        acc = fold(acc, pos[n++]);
+                    }
+                }
+                visit(acc, std::span<const int>(pos, n));
+                ++count;
+            }
+        }
+        return count;
+      }
+      case ErrorPattern::twoBits:
+        for (int a = lo; a < hi; ++a) {
+            const T acc_a = fold(zero, a);
+            pos[0] = a;
+            for (int b = a + 1; b < bits; ++b) {
+                if (layout::pinOf(b) == layout::pinOf(a)
+                    || layout::byteOf(b) == layout::byteOf(a))
+                    continue;
+                pos[1] = b;
+                visit(fold(acc_a, b), std::span<const int>(pos, 2));
+                ++count;
+            }
+        }
+        return count;
+      case ErrorPattern::threeBits:
+        for (int a = lo; a < hi; ++a) {
+            const T acc_a = fold(zero, a);
+            pos[0] = a;
+            for (int b = a + 1; b < bits; ++b) {
+                const T acc_ab = fold(acc_a, b);
+                const bool same_pin = layout::pinOf(b) == layout::pinOf(a);
+                const bool same_byte =
+                    layout::byteOf(b) == layout::byteOf(a);
+                pos[1] = b;
+                for (int c = b + 1; c < bits; ++c) {
+                    if ((same_pin && layout::pinOf(c) == layout::pinOf(a))
+                        || (same_byte
+                            && layout::byteOf(c) == layout::byteOf(a)))
+                        continue;
+                    pos[2] = c;
+                    visit(fold(acc_ab, c), std::span<const int>(pos, 3));
+                    ++count;
+                }
+            }
+        }
+        return count;
+      default:
+        fatal("forEachErrorPositionsInRange: pattern is not enumerable");
+    }
+}
+
+/**
+ * Visit the masks of outer slots [begin, end), built from
+ * forEachErrorPositionsInRange; the full enumeration is recovered
+ * with begin = 0, end = enumerationOuterSize(p).
  *
  * @return the number of masks visited
  */

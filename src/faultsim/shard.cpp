@@ -1,9 +1,11 @@
 #include "faultsim/shard.hpp"
 
 #include <functional>
+#include <span>
 
 #include "common/log.hpp"
 #include "common/rng.hpp"
+#include "ecc/error_domain.hpp"
 
 namespace gpuecc {
 
@@ -125,11 +127,64 @@ evaluateShard(const EntryScheme& scheme, const GoldenEntry& golden,
     return counts;
 }
 
+namespace {
+
+/**
+ * An enumerable shard counted in syndrome space through the scheme's
+ * live syndrome core `core` (see evaluateShardBatched). The golden
+ * entry's syndrome and data-bit offset are folded in once, as
+ * classifyBySyndrome does.
+ */
+OutcomeCounts
+countEnumerableShard(const EntryScheme& scheme,
+                     const PackedSyndromeTable& core,
+                     const GoldenEntry& golden, const Shard& shard)
+{
+    const Bits288& data_bits = scheme.dataBits();
+    const Bits288 offset =
+        (golden.entry ^ scheme.encode(golden.data)) & data_bits;
+
+    std::uint64_t by_outcome[3] = {};
+    const std::uint64_t trials = forEachErrorPositionsInRange(
+        shard.pattern, shard.begin, shard.end,
+        core(golden.entry),
+        [&](std::uint32_t syn, int pos) { return syn ^ core.bit(pos); },
+        [&](std::uint32_t syn, std::span<const int> positions) {
+            Bits288 flips;
+            if (syn != 0 && !scheme.decide(syn, flips)) {
+                ++by_outcome[static_cast<int>(ErrorOutcome::due)];
+                return;
+            }
+            Bits288 residual = offset ^ flips;
+            for (int pos : positions)
+                residual.flip(pos);
+            residual &= data_bits;
+            ++by_outcome[static_cast<int>(residual.none()
+                                              ? ErrorOutcome::dce
+                                              : ErrorOutcome::sdc)];
+        });
+
+    OutcomeCounts counts;
+    counts.exhaustive = true;
+    counts.trials = trials;
+    counts.dce = by_outcome[static_cast<int>(ErrorOutcome::dce)];
+    counts.due = by_outcome[static_cast<int>(ErrorOutcome::due)];
+    counts.sdc = by_outcome[static_cast<int>(ErrorOutcome::sdc)];
+    return counts;
+}
+
+} // namespace
+
 OutcomeCounts
 evaluateShardBatched(const EntryScheme& scheme,
                      const GoldenEntry& golden, std::uint64_t seed,
                      const Shard& shard, ShardBatchArena& arena)
 {
+    if (patternIsEnumerable(shard.pattern)) {
+        if (const PackedSyndromeTable* core = scheme.syndromeCore())
+            return countEnumerableShard(scheme, *core, golden, shard);
+    }
+
     OutcomeCounts counts;
     std::size_t filled = 0;
 
@@ -158,6 +213,7 @@ evaluateShardBatched(const EntryScheme& scheme,
     };
 
     if (patternIsEnumerable(shard.pattern)) {
+        // A scheme without a live syndrome core: stage the masks.
         counts.exhaustive = true;
         // By reference: a std::function holding the capturing lambda
         // itself would heap-allocate once per shard.

@@ -112,7 +112,8 @@ OutcomeCounts evaluateShard(const EntryScheme& scheme,
 constexpr std::size_t kShardBatchEntries = 256;
 
 /**
- * Reusable structure-of-arrays scratch for the batched shard kernel.
+ * Reusable structure-of-arrays scratch for the batched shard kernel
+ * (its sampled and fallback paths).
  *
  * One arena per worker, allocated once and reused across every shard
  * that worker evaluates: the staging arrays (~30 KiB total) stay
@@ -146,7 +147,20 @@ struct ShardBatchArena
 /**
  * Batched evaluation of one shard: identical tallies to
  * evaluateShard (which remains the differential oracle — see
- * tests/test_shard_batch.cpp), restructured as a
+ * tests/test_shard_batch.cpp).
+ *
+ * An enumerable shard of a scheme with a live syndrome core
+ * (EntryScheme::syndromeCore) is counted in syndrome space and
+ * touches no arena array: forEachErrorPositionsInRange walks its
+ * masks as bit-position tuples while folding their packed syndromes
+ * from the per-bit ones, one EntryScheme::decide call decides each
+ * trial, and only an accepted trial builds its mask to compare data
+ * bits. The golden entry's own syndrome and data-bit difference from
+ * encode(golden.data) are folded in once, so a golden that is not a
+ * clean codeword stays exact.
+ *
+ * Sampled shards, and enumerable ones of a scheme without a live
+ * core (the reference backend, test doubles), run a
  * structure-of-arrays pipeline. Masks are materialized in draw order
  * (so the RNG consumption matches the scalar path bit-for-bit), with
  * block generators derived in bulk via Rng::forStreams, and each
@@ -154,6 +168,7 @@ struct ShardBatchArena
  * one virtual dispatch per kShardBatchEntries entries instead of one
  * per sample. The library schemes decide there from each mask's
  * syndrome, without building a received word (ecc/error_domain.hpp).
+ *
  * Warmed up (block_rngs sized), a call makes no heap allocation.
  */
 OutcomeCounts evaluateShardBatched(const EntryScheme& scheme,

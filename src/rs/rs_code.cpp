@@ -1,5 +1,7 @@
 #include "rs/rs_code.hpp"
 
+#include <array>
+
 #include "common/log.hpp"
 #include "gf256/gf256.hpp"
 
@@ -73,10 +75,18 @@ RsCode::encode(const std::vector<std::uint8_t>& data) const
 {
     require(static_cast<int>(data.size()) == k_,
             "RsCode::encode: wrong data length");
+    std::vector<std::uint8_t> cw(n_, 0);
+    encode(data.data(), cw.data());
+    return cw;
+}
+
+void
+RsCode::encode(const std::uint8_t* data, std::uint8_t* codeword) const
+{
     // D_j = sum over data positions of d_i * alpha^(j * i); check
     // symbols then satisfy sum over check positions = D_j as well,
     // making every syndrome zero.
-    std::vector<std::uint8_t> d(r_, 0);
+    std::array<std::uint8_t, 255> d{};
     for (int j = 0; j < r_; ++j) {
         std::uint8_t acc = 0;
         for (int i = r_; i < n_; ++i) {
@@ -85,17 +95,15 @@ RsCode::encode(const std::vector<std::uint8_t>& data) const
         }
         d[j] = acc;
     }
-    std::vector<std::uint8_t> cw(n_, 0);
     for (int i = 0; i < r_; ++i) {
         std::uint8_t acc = 0;
         for (int j = 0; j < r_; ++j)
             acc = gf256::add(acc,
                              gf256::mul(check_solver_[i * r_ + j], d[j]));
-        cw[i] = acc;
+        codeword[i] = acc;
     }
     for (int i = r_; i < n_; ++i)
-        cw[i] = data[i - r_];
-    return cw;
+        codeword[i] = data[i - r_];
 }
 
 std::vector<std::uint8_t>

@@ -44,6 +44,10 @@ class RsCode
     std::vector<std::uint8_t>
     encode(const std::vector<std::uint8_t>& data) const;
 
+    /** encode() into caller storage, without allocating: `data`
+     *  holds k symbols and `codeword` receives n. */
+    void encode(const std::uint8_t* data, std::uint8_t* codeword) const;
+
     /** The r syndromes S_j of a received word (all zero if valid). */
     std::vector<std::uint8_t>
     syndromes(const std::vector<std::uint8_t>& received) const;

@@ -202,8 +202,8 @@ INSTANTIATE_TEST_SUITE_P(
 // injected per *symbol* (a physical byte for the (36,32) schemes, a
 // 4-pin x 2-beat nibble-column pair for the interleaved (18,16)
 // schemes) and every decode is triple-checked: fast single-entry,
-// fast batched (through decodeBatch, which runs the SoA/SIMD
-// kernels), and the reference oracle. Agreement covers the outcome
+// fast batched (through the default decodeBatch loop over the
+// syndrome-table decode), and the reference oracle. Agreement covers the outcome
 // class, the corrected data, and — critically — *miscorrection
 // identity*: when a 2/3-symbol pattern aliases into some decoder's
 // correctable footprint, both paths must fabricate the exact same
@@ -438,10 +438,9 @@ TEST_P(RsDifferential, BatchedDecodeMatchesReferenceElementwise)
 {
     // One big heterogeneous batch — clean entries, single-symbol
     // errors, and random floods interleaved — pushed through
-    // decodeBatch in one call, so the SoA transpose, the bulk
-    // early-out, and the suspect path are exercised against each
-    // other across tile boundaries (the batch exceeds one 256-entry
-    // tile).
+    // decodeBatch in one call: the default loop over the
+    // syndrome-table decode must agree with the reference entry by
+    // entry, whatever the mix (the batch exceeds 256 entries).
     Rng rng(0xBA7C4ull);
     std::vector<Bits288> batch;
     for (int sym = 0; sym < kNumSymbols; ++sym) {

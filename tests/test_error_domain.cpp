@@ -14,6 +14,10 @@
  *  - nonzero codewords (encode of random data), which have a zero
  *    syndrome but corrupt the data;
  *  - masks confined to the check bits.
+ *
+ * The public syndrome core behind it (EntryScheme::syndromeCore,
+ * decide and dataBits) is checked against decode() directly, and is absent
+ * under the reference backend.
  */
 
 #include <gtest/gtest.h>
@@ -253,6 +257,123 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(CodecBackend::compiled,
                                          CodecBackend::reference)),
     paramName);
+
+/** The public syndrome core (EntryScheme::syndromeCore / decide /
+ *  dataBits) of one registry scheme, on the compiled backend. */
+class SyndromeCore : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(SyndromeCore, DecideAgreesWithDecode)
+{
+    // decide(syndrome(m)) must tell what decode(encode(d) ^ m) does
+    // for every 1-bit and 2-bit mask and for seeded sparse and dense
+    // ones:
+    // a zero syndrome reads clean, a rejected one is a DUE, and an
+    // accepted one corrects to the codeword its flips lead to, which
+    // holds the stored data exactly when the mask and the flips
+    // cancel on every data bit.
+    const BackendGuard guard(CodecBackend::compiled);
+    const auto scheme = makeScheme(GetParam());
+    const PackedSyndromeTable* core = scheme->syndromeCore();
+    ASSERT_NE(core, nullptr);
+    const Bits288& data_bits = scheme->dataBits();
+    EXPECT_EQ(data_bits.popcount(), layout::data_bits);
+    const GoldenEntry g = makeGolden(*scheme, 0x5EED);
+
+    std::vector<Bits288> masks;
+    for (int a = 0; a < layout::entry_bits; ++a) {
+        Bits288 one;
+        one.set(a, 1);
+        masks.push_back(one);
+        for (int b = a + 1; b < layout::entry_bits; ++b) {
+            Bits288 two = one;
+            two.set(b, 1);
+            masks.push_back(two);
+        }
+    }
+    Rng rng(0xDEC1DE);
+    // 3-bit masks and nonzero codewords reach SDCs.
+    for (int i = 0; i < kSampled; ++i)
+        masks.push_back(sampleErrorMask(ErrorPattern::threeBits, rng));
+    for (int i = 0; i < 200; ++i) {
+        masks.push_back(scheme->encode(
+            {rng.next64(), rng.next64(), rng.next64(), rng.next64()}));
+    }
+    for (int i = 0; i < kSampled; ++i) {
+        const double density = 0.25 + 0.5 * rng.nextDouble();
+        Bits288 m;
+        for (int bit = 0; bit < layout::entry_bits; ++bit) {
+            if (rng.nextBool(density))
+                m.set(bit, 1);
+        }
+        masks.push_back(m);
+    }
+
+    std::size_t bad = 0;
+    std::size_t outcomes[3] = {};
+    for (const Bits288& m : masks) {
+        const std::uint32_t syn = (*core)(m);
+        std::uint32_t folded = 0;
+        m.forEachSetBit([&](int bit) { folded ^= core->bit(bit); });
+        const EntryDecode d = scheme->decode(g.entry ^ m);
+        Bits288 flips;
+        bool ok = folded == syn;
+        if (syn == 0) {
+            ok = ok && d.status == EntryDecode::Status::clean;
+        } else if (!scheme->decide(syn, flips)) {
+            ok = ok && d.status == EntryDecode::Status::due;
+        } else {
+            const EntryDecode fixed = scheme->decode(g.entry ^ m ^ flips);
+            ok = ok && d.status == EntryDecode::Status::corrected
+                 && (*core)(flips) == syn
+                 && fixed.status == EntryDecode::Status::clean
+                 && fixed.data == d.data;
+        }
+        if (d.status != EntryDecode::Status::due) {
+            const bool residual_clean = ((m ^ flips) & data_bits).none();
+            ok = ok && residual_clean == (d.data == g.data);
+            ++outcomes[residual_clean ? 0 : 2];
+        } else {
+            ++outcomes[1];
+        }
+        if (!ok && bad++ < 3) {
+            ADD_FAILURE() << GetParam() << ": mask " << m.toString()
+                          << " syndrome " << syn;
+        }
+    }
+    EXPECT_EQ(bad, 0u);
+    // The masks reach a DCE, a DUE and an SDC, so each branch ran.
+    for (int o = 0; o < 3; ++o)
+        EXPECT_GT(outcomes[o], 0u) << "outcome " << o;
+}
+
+TEST_P(SyndromeCore, AbsentUnderTheReferenceBackend)
+{
+    // The reference matrix decoders stay the independent oracle: no
+    // scheme offers its compiled core while they are selected.
+    const auto scheme = makeScheme(GetParam());
+    {
+        const BackendGuard guard(CodecBackend::compiled);
+        EXPECT_NE(scheme->syndromeCore(), nullptr);
+    }
+    const BackendGuard guard(CodecBackend::reference);
+    EXPECT_EQ(scheme->syndromeCore(), nullptr);
+}
+
+std::string
+schemeName(const ::testing::TestParamInfo<std::string>& info)
+{
+    std::string name = info.param;
+    for (char& c : name) {
+        if (c == '-' || c == '+')
+            c = '_';
+    }
+    return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchemes, SyndromeCore,
+                         ::testing::ValuesIn(schemeIds()), schemeName);
 
 } // namespace
 } // namespace gpuecc

@@ -457,10 +457,10 @@ TEST_P(GoldenVectors, RsSymbolVectorsDecodeAsCommitted)
 TEST_P(GoldenVectors, RsSymbolVectorsBatchDecodeAsCommitted)
 {
     // Every row of one scheme block through a single decodeBatch
-    // call: the SoA tile path — under whichever gf256 ISA the host
-    // dispatched — must land on the same frozen outcomes as the
-    // element-wise decode above. Rows are replicated to overflow one
-    // 256-entry tile so the partial-tile path is pinned too.
+    // call: the default loop over the syndrome-table decode must
+    // land on the same frozen outcomes as the element-wise decode
+    // above. Rows are replicated past 256 entries, the size of the
+    // kernel's batches.
     std::string current_id;
     std::shared_ptr<EntryScheme> scheme;
     Bits288 golden;

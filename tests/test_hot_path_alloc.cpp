@@ -7,7 +7,8 @@
  * zero across the calls a trial makes: GF(2^8) arithmetic, the RS
  * fix functions, mask classification and sampling, each registry
  * scheme's classifyErrorBatch and compiled decode, and a warmed-up
- * batched shard kernel.
+ * batched shard kernel on a sampled cell and on every enumerable
+ * cell.
  * A stray allocation there — a std::string built for a passing check,
  * a std::function holding a capturing lambda — costs more than the
  * trial's arithmetic.
@@ -281,6 +282,33 @@ TEST_F(HotPathAllocations, WarmedBatchedShardKernel)
                       }),
                       0u)
                 << id << " pattern " << patternInfo(shard.pattern).label;
+            EXPECT_EQ(second.trials, first.trials);
+            EXPECT_EQ(second.sdc, first.sdc);
+        }
+    }
+}
+
+TEST_F(HotPathAllocations, WarmedBatchedShardKernelEveryEnumerablePattern)
+{
+    // Every enumerable cell's first shard, counted in syndrome space.
+    const auto arena = std::make_unique<ShardBatchArena>();
+    for (const std::string& id : schemeIds()) {
+        const auto scheme = makeScheme(id);
+        const GoldenEntry golden = makeGolden(*scheme, 0x5EED);
+        for (ErrorPattern p : allErrorPatterns()) {
+            if (!patternIsEnumerable(p))
+                continue;
+            const Shard shard = planShards(p, 0)[0];
+            const OutcomeCounts first =
+                evaluateShardBatched(*scheme, golden, 7, shard, *arena);
+            OutcomeCounts second;
+            EXPECT_EQ(allocationsDuring([&] {
+                          second = evaluateShardBatched(*scheme, golden, 7,
+                                                        shard, *arena);
+                      }),
+                      0u)
+                << id << " pattern " << patternInfo(p).label;
+            EXPECT_GT(second.trials, 0u);
             EXPECT_EQ(second.trials, first.trials);
             EXPECT_EQ(second.sdc, first.sdc);
         }

@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/codec_mode.hpp"
@@ -80,9 +82,9 @@ TEST(ShardBatch, InvariantToChunkSize)
     // multiples of the batch size and a chunk that leaves a partial
     // final block (samples not a block multiple).
     const std::uint64_t samples = 10000;
-    // One binary scheme and both RS organizations: the RS decodeBatch
-    // tiles internally at 256 entries, so the non-multiple chunks
-    // also exercise partial SoA tiles.
+    // One binary scheme and both RS organizations: the kernel
+    // classifies sampled masks in 256-entry batches, so the
+    // non-multiple chunks also exercise partial batches.
     for (const char* id : {"duet", "i-ssc", "ssc-dsd+"}) {
         const auto scheme = makeScheme(id);
         const GoldenEntry golden = makeGolden(*scheme, kSeed);
@@ -130,6 +132,142 @@ TEST(ShardBatch, MatchesScalarUnderBothBackends)
         }
         setCodecBackend(CodecBackend::compiled);
     }
+}
+
+/** The scheme ids of the registry as gtest parameter names. */
+std::string
+schemeName(const ::testing::TestParamInfo<std::string>& info)
+{
+    std::string name = info.param;
+    for (char& c : name) {
+        if (c == '-' || c == '+')
+            c = '_';
+    }
+    return name;
+}
+
+/** The exhaustive cells of one registry scheme. */
+class ShardBatchEnumerable : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(ShardBatchEnumerable, MatchesScalarUnderBothBackends)
+{
+    // Every enumerable cell, whole. On the compiled backend the
+    // batched kernel counts it in syndrome space through the scheme's
+    // syndrome core; on the reference backend there is no core and it
+    // stages masks through classifyErrorBatch. Both must equal the
+    // scalar oracle exactly.
+    const auto scheme = makeScheme(GetParam());
+    const CodecBackend saved = codecBackend();
+    for (CodecBackend backend :
+         {CodecBackend::compiled, CodecBackend::reference}) {
+        setCodecBackend(backend);
+        EXPECT_EQ(scheme->syndromeCore() != nullptr,
+                  backend == CodecBackend::compiled);
+        const GoldenEntry golden = makeGolden(*scheme, kSeed);
+        for (ErrorPattern p : allErrorPatterns()) {
+            if (!patternIsEnumerable(p))
+                continue;
+            const OutcomeCounts scalar =
+                runShards(*scheme, golden, p, 0, kShardSamples, false);
+            const OutcomeCounts batched =
+                runShards(*scheme, golden, p, 0, kShardSamples, true);
+            EXPECT_TRUE(sameCounts(scalar, batched))
+                << "backend="
+                << (backend == CodecBackend::compiled ? "compiled"
+                                                      : "reference")
+                << " pattern=" << patternInfo(p).label;
+        }
+    }
+    setCodecBackend(saved);
+}
+
+TEST_P(ShardBatchEnumerable, GoldenThatIsNotACodewordStaysExact)
+{
+    // The syndrome-space counter folds the stored entry's own
+    // syndrome and data difference in once per shard, so a stored
+    // word that is not the clean encoding of the data is counted as
+    // the oracle decodes it.
+    const auto scheme = makeScheme(GetParam());
+    const CodecBackend saved = codecBackend();
+    setCodecBackend(CodecBackend::compiled);
+    GoldenEntry golden = makeGolden(*scheme, kSeed);
+    golden.entry.flip(131);
+    golden.data[2] ^= 0x40;
+    for (ErrorPattern p : allErrorPatterns()) {
+        if (!patternIsEnumerable(p))
+            continue;
+        const OutcomeCounts scalar =
+            runShards(*scheme, golden, p, 0, kShardSamples, false);
+        const OutcomeCounts batched =
+            runShards(*scheme, golden, p, 0, kShardSamples, true);
+        EXPECT_TRUE(sameCounts(scalar, batched))
+            << "pattern=" << patternInfo(p).label;
+    }
+    setCodecBackend(saved);
+}
+
+INSTANTIATE_TEST_SUITE_P(Registry, ShardBatchEnumerable,
+                         ::testing::ValuesIn(schemeIds()), schemeName);
+
+/**
+ * A scheme that overrides decode() and the pure virtuals only, as a
+ * test double would: it has no syndrome core.
+ */
+class DecodeOnlyScheme : public EntryScheme
+{
+  public:
+    explicit DecodeOnlyScheme(std::shared_ptr<EntryScheme> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    std::string id() const override { return "decode-only"; }
+    std::string name() const override { return "decode-only"; }
+    Bits288
+    encode(const EntryData& data) const override
+    {
+        return inner_->encode(data);
+    }
+    EntryDecode
+    decode(const Bits288& received) const override
+    {
+        return inner_->decode(received);
+    }
+    bool correctsPinErrors() const override { return true; }
+
+  private:
+    std::shared_ptr<EntryScheme> inner_;
+};
+
+TEST(ShardBatch, DecodeOnlySchemeFallsBackToMasks)
+{
+    // Without a core the batched kernel stages masks; its exhaustive
+    // counts must still equal the scalar oracle, and the counts of
+    // the scheme it wraps, which go through that scheme's core.
+    const CodecBackend saved = codecBackend();
+    setCodecBackend(CodecBackend::compiled);
+    const auto inner = makeScheme("trio");
+    const DecodeOnlyScheme scheme(inner);
+    EXPECT_EQ(scheme.syndromeCore(), nullptr);
+    ASSERT_NE(inner->syndromeCore(), nullptr);
+    const GoldenEntry golden = makeGolden(scheme, kSeed);
+    for (ErrorPattern p : allErrorPatterns()) {
+        if (!patternIsEnumerable(p))
+            continue;
+        const OutcomeCounts scalar =
+            runShards(scheme, golden, p, 0, kShardSamples, false);
+        const OutcomeCounts batched =
+            runShards(scheme, golden, p, 0, kShardSamples, true);
+        const OutcomeCounts core =
+            runShards(*inner, golden, p, 0, kShardSamples, true);
+        EXPECT_TRUE(sameCounts(scalar, batched))
+            << "pattern=" << patternInfo(p).label;
+        EXPECT_TRUE(sameCounts(scalar, core))
+            << "pattern=" << patternInfo(p).label;
+    }
+    setCodecBackend(saved);
 }
 
 TEST(ShardBatch, DecodeBatchMatchesElementwiseDecode)
