@@ -18,6 +18,10 @@
 
 namespace gpuecc {
 
+namespace detail {
+struct RngLaneAccess;
+}
+
 /**
  * xoshiro256** 1.0 generator (Blackman & Vigna), seeded via SplitMix64.
  *
@@ -109,6 +113,13 @@ class Rng
                            std::size_t count, Rng* out);
 
   private:
+    /**
+     * The lock-step error-mask sampler (faultsim/lane_sampler.cpp)
+     * loads several generators' states into one vector and stores
+     * them back, advancing each exactly as next64() would.
+     */
+    friend struct detail::RngLaneAccess;
+
     std::uint64_t s_[4];
     double cached_gaussian_ = 0.0;
     bool has_cached_gaussian_ = false;

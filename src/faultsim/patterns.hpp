@@ -15,6 +15,8 @@
 
 #include <array>
 #include <bit>
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <span>
@@ -76,6 +78,66 @@ ErrorPattern classifyErrorMask(const Bits288& mask);
  * corruption model the paper adopts for evaluation).
  */
 Bits288 sampleErrorMask(ErrorPattern p, Rng& rng);
+
+/** Receives one accepted mask and the index of the lane it came from. */
+using LaneMaskVisitor =
+    std::function<void(std::size_t lane, const Bits288& mask)>;
+
+/**
+ * Draw `counts[i]` masks of pattern `p` from generator `lanes[i]`, for
+ * every lane i. Each lane's masks reach `visit` in the order that
+ * `counts[i]` successive sampleErrorMask(p, lanes[i]) calls return
+ * them, and each lane ends in the state those calls leave; only the
+ * interleaving of different lanes is unspecified.
+ *
+ * For 1 Beat and 1 Entry, up to four lanes advance in lock-step: their
+ * xoshiro256** states form one vector, each attempt draws the whole
+ * region's coins on every lane at once, and a lane whose attempt
+ * classifies as another shape redraws while the others move on. A
+ * finished lane's slot takes the next lane with masks still owed. A
+ * lone lane with masks owed (the 1-block case, or the last lane left)
+ * runs the scalar sampleErrorMask, as do all other patterns. The
+ * vector kernel is the widest the host supports (AVX2 or the portable
+ * build of the same body), picked once by CPU; GPUECC_NO_SIMD does
+ * not pin it (tests run each build through sampleErrorMasksWith).
+ *
+ * @param counts one entry per lane
+ */
+void sampleErrorMasks(ErrorPattern p, std::span<Rng> lanes,
+                      std::span<const std::uint64_t> counts,
+                      const LaneMaskVisitor& visit);
+
+namespace detail {
+
+/** The builds of the lock-step sampler's vector kernel. */
+enum class LaneKernel
+{
+    portable, //!< baseline ISA (SSE2 on x86-64)
+    avx2,     //!< x86-64 with AVX2 (per-function target attribute)
+};
+
+/** Whether this host can run kernel `k`. */
+bool laneKernelSupported(LaneKernel k);
+
+/** Decides whether a lock-step attempt's mask is kept. */
+using MaskAccept = bool (*)(const Bits288& mask);
+
+/**
+ * sampleErrorMasks with an explicit vector kernel, so tests can check
+ * every build a host supports. Fatal if `k` is unsupported.
+ *
+ * A non-null `accept` (1 Beat and 1 Entry only) replaces the shape
+ * check and keeps even a lone lane on the vector kernel. Real streams
+ * almost never redraw (a 1 Beat attempt fails its shape about once in
+ * 10^17), so this is how tests drive the redraw path.
+ */
+void sampleErrorMasksWith(LaneKernel k, ErrorPattern p,
+                          std::span<Rng> lanes,
+                          std::span<const std::uint64_t> counts,
+                          const LaneMaskVisitor& visit,
+                          MaskAccept accept = nullptr);
+
+} // namespace detail
 
 /**
  * Visit every instance of an exhaustively enumerable pattern

@@ -226,25 +226,34 @@ evaluateShardBatched(const EntryScheme& scheme,
         // A shard's blocks have consecutive stream ids (pattern tag
         // in the high half, block index in the low), so the whole
         // shard's generators derive in one bulk call that shares the
-        // seed expansion. Each generator is then consumed in sample
-        // order, exactly as the scalar path consumes its per-block
-        // forStream generator.
+        // seed expansion. The lock-step sampler then draws each
+        // block's masks from its own generator exactly as the scalar
+        // path does, several blocks at a time; masks of different
+        // blocks interleave, which the order-free tallies do not see.
         const std::uint64_t num_blocks =
             (shard.end - shard.begin + kStreamBlockSamples - 1) /
             kStreamBlockSamples;
         if (arena.block_rngs.size() < num_blocks)
             arena.block_rngs.resize(num_blocks);
+        if (arena.block_counts.size() < num_blocks)
+            arena.block_counts.resize(num_blocks);
         Rng::forStreams(seed, shard.stream, num_blocks,
                         arena.block_rngs.data());
         for (std::uint64_t blk = 0; blk < num_blocks; ++blk) {
-            Rng& rng = arena.block_rngs[blk];
             const std::uint64_t b =
                 shard.begin + blk * kStreamBlockSamples;
-            const std::uint64_t stop =
-                std::min(shard.end, b + kStreamBlockSamples);
-            for (std::uint64_t i = b; i < stop; ++i)
-                stage(sampleErrorMask(shard.pattern, rng));
+            arena.block_counts[blk] =
+                std::min(shard.end, b + kStreamBlockSamples) - b;
         }
+        auto stage_lane = [&](std::size_t, const Bits288& mask) {
+            stage(mask);
+        };
+        sampleErrorMasks(
+            shard.pattern,
+            std::span<Rng>(arena.block_rngs.data(), num_blocks),
+            std::span<const std::uint64_t>(arena.block_counts.data(),
+                                           num_blocks),
+            std::ref(stage_lane));
     }
     flush();
     return counts;

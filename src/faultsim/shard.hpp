@@ -142,6 +142,8 @@ struct ShardBatchArena
         std::array<EntryDecode, kShardBatchEntries> decodes;
     /** Bulk-derived generators, one per stream block of the shard. */
     std::vector<Rng> block_rngs;
+    /** Samples each stream block of the shard draws. */
+    std::vector<std::uint64_t> block_counts;
 };
 
 /**

@@ -221,12 +221,23 @@ chaosStallForever(const std::string& why)
         std::this_thread::sleep_for(std::chrono::seconds(3600));
 }
 
+std::atomic<FleetUnitStartHook> unit_start_hook{nullptr};
+
 } // namespace
+
+void
+setFleetUnitStartHook(FleetUnitStartHook hook)
+{
+    unit_start_hook.store(hook, std::memory_order_relaxed);
+}
 
 void
 chaosOnFleetUnitStart(int worker, std::uint64_t unit,
                       std::uint64_t units_completed)
 {
+    if (const FleetUnitStartHook hook =
+            unit_start_hook.load(std::memory_order_relaxed))
+        hook(worker, unit, units_completed);
     if (!chaosActive())
         return;
     ChaosState& s = state();

@@ -164,6 +164,19 @@ constexpr int kChaosFleetExitCode = 77;
 void chaosOnFleetUnitStart(int worker, std::uint64_t unit,
                            std::uint64_t units_completed);
 
+/** A test's own step at each fleet unit start (see below). */
+using FleetUnitStartHook = void (*)(int worker, std::uint64_t unit,
+                                    std::uint64_t units_completed);
+
+/**
+ * Install (or, with nullptr, remove) a hook that chaosOnFleetUnitStart
+ * runs first, armed or not, with the same arguments. Forked workers
+ * inherit it like the armed spec. Tests use it to order hosts, e.g.
+ * to hold one worker until another has started its second unit, so a
+ * scenario does not depend on which process the scheduler runs first.
+ */
+void setFleetUnitStartHook(FleetUnitStartHook hook);
+
 /**
  * Whether a stall trigger has fired in this process. Heartbeat
  * threads poll it so a chaos-stalled host goes silent on the wire,

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <poll.h>
+#include <unistd.h>
 #include <string>
 #include <vector>
 
@@ -186,6 +188,32 @@ TEST(Fleet, TalliesBitIdenticalToInProcess)
     expectCellsIdentical(in_process, fleet);
 }
 
+/** Pipe of the killed-worker hand-off; forked workers inherit it. */
+int g_handoff[2] = {-1, -1};
+
+/**
+ * Hold worker 0 at its first unit until worker 1 starts its second:
+ * worker 1 writes a byte just before its chaos exit fires, and only
+ * then does worker 0 go on. Without it, worker 0 can drain the queue
+ * while worker 1 is still on its first unit, and nobody dies. The
+ * wait is bounded so a broken hand-off fails the assertions instead
+ * of hanging the run.
+ */
+void
+holdWorker0UntilWorker1StartsASecondUnit(int worker, std::uint64_t,
+                                         std::uint64_t units_completed)
+{
+    if (worker == 1 && units_completed == 1) {
+        // This runs in the forked worker, where a gtest assertion
+        // would go unseen; a failed write shows as worker 0's timeout.
+        const char go = 'g';
+        [[maybe_unused]] const ssize_t sent = ::write(g_handoff[1], &go, 1);
+    } else if (worker == 0 && units_completed == 0) {
+        pollfd ready = {g_handoff[0], POLLIN, 0};
+        ::poll(&ready, 1, 60 * 1000);
+    }
+}
+
 TEST(Fleet, KilledWorkerUnitIsRequeuedBitIdentically)
 {
     sim::CampaignSpec spec = smallSpec();
@@ -193,7 +221,10 @@ TEST(Fleet, KilledWorkerUnitIsRequeuedBitIdentically)
         sim::CampaignRunner(spec).run();
 
     // Worker 1 self-kills when it starts its second unit; its
-    // in-flight unit must be re-queued and finished by worker 0.
+    // in-flight unit must be re-queued and finished by worker 0, which
+    // the hook holds on its first unit until then.
+    ASSERT_EQ(::pipe(g_handoff), 0);
+    sim::setFleetUnitStartHook(holdWorker0UntilWorker1StartsASecondUnit);
     sim::ChaosSpec chaos;
     chaos.fleet_exit_worker = 1;
     chaos.fleet_exit_after = 1;
@@ -202,6 +233,9 @@ TEST(Fleet, KilledWorkerUnitIsRequeuedBitIdentically)
     const sim::CampaignResult fleet =
         sim::CampaignRunner(spec).run();
     sim::clearChaosSpec();
+    sim::setFleetUnitStartHook(nullptr);
+    ::close(g_handoff[0]);
+    ::close(g_handoff[1]);
 
     EXPECT_EQ(fleet.fleet.workers_lost, 1);
     EXPECT_GE(fleet.fleet.requeues, 1u);

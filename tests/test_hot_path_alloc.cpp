@@ -7,8 +7,8 @@
  * zero across the calls a trial makes: GF(2^8) arithmetic, the RS
  * fix functions, mask classification and sampling, each registry
  * scheme's classifyErrorBatch and compiled decode, and a warmed-up
- * batched shard kernel on a sampled cell and on every enumerable
- * cell.
+ * batched shard kernel on a sampled cell, on 4-block 1 Beat and 1
+ * Entry shards (the lock-step sampler) and on every enumerable cell.
  * A stray allocation there — a std::string built for a passing check,
  * a std::function holding a capturing lambda — costs more than the
  * trial's arithmetic.
@@ -283,6 +283,32 @@ TEST_F(HotPathAllocations, WarmedBatchedShardKernel)
                       0u)
                 << id << " pattern " << patternInfo(shard.pattern).label;
             EXPECT_EQ(second.trials, first.trials);
+            EXPECT_EQ(second.sdc, first.sdc);
+        }
+    }
+}
+
+TEST_F(HotPathAllocations, WarmedBatchedShardKernelFourBlockSampledShards)
+{
+    // A 4-block shard fills every lane of the lock-step sampler.
+    const auto arena = std::make_unique<ShardBatchArena>();
+    for (ErrorPattern p :
+         {ErrorPattern::oneBeat, ErrorPattern::wholeEntry}) {
+        const Shard shard = planShards(p, 4 * kStreamBlockSamples,
+                                       4 * kStreamBlockSamples)[0];
+        for (const char* id : {"duet", "trio", "ssc-dsd+"}) {
+            const auto scheme = makeScheme(id);
+            const GoldenEntry golden = makeGolden(*scheme, 0x5EED);
+            const OutcomeCounts first =
+                evaluateShardBatched(*scheme, golden, 7, shard, *arena);
+            OutcomeCounts second;
+            EXPECT_EQ(allocationsDuring([&] {
+                          second = evaluateShardBatched(*scheme, golden, 7,
+                                                        shard, *arena);
+                      }),
+                      0u)
+                << id << " pattern " << patternInfo(p).label;
+            EXPECT_EQ(second.trials, 4 * kStreamBlockSamples);
             EXPECT_EQ(second.sdc, first.sdc);
         }
     }

@@ -3,6 +3,8 @@
 #include <array>
 #include <cstdint>
 #include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -438,6 +440,181 @@ TEST(Classifier, MatchesReferenceOnRandomMasks)
     }
     for (int count : seen)
         EXPECT_GT(count, 100); // every shape was exercised
+}
+
+/*
+ * The lock-step sampler (sampleErrorMasks): lane i's masks must be
+ * exactly the masks of sampleErrorMask on lane i's own generator, in
+ * order, whatever the lane count, the per-lane counts and the vector
+ * kernel, and each lane must end in the same state.
+ */
+
+using LaneKernel = detail::LaneKernel;
+
+/** Per-lane sample counts: unequal, with empty and ragged lanes. */
+const std::vector<std::vector<std::uint64_t>>&
+laneCountSets()
+{
+    static const std::vector<std::vector<std::uint64_t>> sets = {
+        {300},           {0},
+        {300, 17},       {0, 250},       {40, 40},
+        {17, 300, 0},    {130, 130, 130},
+        {300, 17, 0, 257}, {0, 0, 0, 0}, {64, 64, 64, 64},
+        {17, 0, 17, 900},
+    };
+    return sets;
+}
+
+/** Block generators of a shard: stream (pattern << 32) | lane. */
+std::vector<Rng>
+laneGenerators(ErrorPattern p, std::size_t lanes)
+{
+    std::vector<Rng> rngs;
+    for (std::size_t i = 0; i < lanes; ++i) {
+        rngs.push_back(Rng::forStream(
+            0x5EED, (static_cast<std::uint64_t>(p) << 32) | i));
+    }
+    return rngs;
+}
+
+/** Run the lane sampler and collect each lane's masks in order. */
+std::vector<std::vector<Bits288>>
+sampleByLane(LaneKernel k, ErrorPattern p, std::vector<Rng>& lanes,
+             const std::vector<std::uint64_t>& counts,
+             detail::MaskAccept accept = nullptr)
+{
+    std::vector<std::vector<Bits288>> out(lanes.size());
+    detail::sampleErrorMasksWith(
+        k, p, lanes, counts,
+        [&](std::size_t lane, const Bits288& mask) {
+            out.at(lane).push_back(mask);
+        },
+        accept);
+    return out;
+}
+
+class LaneSampler
+    : public ::testing::TestWithParam<std::tuple<ErrorPattern, LaneKernel>>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (!detail::laneKernelSupported(std::get<1>(GetParam())))
+            GTEST_SKIP() << "kernel not supported on this host";
+    }
+};
+
+TEST_P(LaneSampler, EachLaneMatchesItsScalarStream)
+{
+    const auto [p, kernel] = GetParam();
+    for (const std::vector<std::uint64_t>& counts : laneCountSets()) {
+        std::vector<Rng> lanes = laneGenerators(p, counts.size());
+        const auto masks = sampleByLane(kernel, p, lanes, counts);
+        std::vector<Rng> oracles = laneGenerators(p, counts.size());
+        for (std::size_t i = 0; i < counts.size(); ++i) {
+            ASSERT_EQ(masks[i].size(), counts[i]) << "lane " << i;
+            for (std::uint64_t n = 0; n < counts[i]; ++n) {
+                ASSERT_EQ(masks[i][n], sampleErrorMask(p, oracles[i]))
+                    << "lane " << i << " of " << counts.size()
+                    << ", mask " << n;
+            }
+            // The lane's generator is left where the scalar one is.
+            ASSERT_EQ(lanes[i].next64(), oracles[i].next64())
+                << "lane " << i << " of " << counts.size();
+        }
+    }
+}
+
+/**
+ * The scalar region sampler with `accept` in place of the shape
+ * check, drawing per bit with nextBool(0.5): the oracle for redraws.
+ */
+Bits288
+referenceSampleAccepting(ErrorPattern p, Rng& rng,
+                         detail::MaskAccept accept)
+{
+    int lo = 0;
+    int bits = layout::entry_bits;
+    if (p == ErrorPattern::oneBeat) {
+        lo = layout::beat_bits *
+             static_cast<int>(rng.nextBounded(layout::num_beats));
+        bits = layout::beat_bits;
+    }
+    for (;;) {
+        Bits288 mask;
+        for (int i = 0; i < bits; ++i) {
+            if (rng.nextBool(0.5))
+                mask.set(lo + i, 1);
+        }
+        if (accept(mask))
+            return mask;
+    }
+}
+
+TEST_P(LaneSampler, RedrawsKeepEachLanesStream)
+{
+    // Real shapes almost never redraw, so an accept test that rejects
+    // about half of all attempts (odd popcounts) drives the redraw
+    // path: a redraw keeps the sample's beat index, emits nothing, and
+    // lanes fall out of step with one another.
+    const detail::MaskAccept even = [](const Bits288& mask) {
+        return mask.popcount() % 2 == 0;
+    };
+    const auto [p, kernel] = GetParam();
+    for (const std::vector<std::uint64_t>& counts : laneCountSets()) {
+        std::vector<Rng> lanes = laneGenerators(p, counts.size());
+        const auto masks = sampleByLane(kernel, p, lanes, counts, even);
+        std::vector<Rng> oracles = laneGenerators(p, counts.size());
+        for (std::size_t i = 0; i < counts.size(); ++i) {
+            ASSERT_EQ(masks[i].size(), counts[i]) << "lane " << i;
+            for (std::uint64_t n = 0; n < counts[i]; ++n) {
+                ASSERT_EQ(masks[i][n],
+                          referenceSampleAccepting(p, oracles[i], even))
+                    << "lane " << i << " of " << counts.size()
+                    << ", mask " << n;
+            }
+            ASSERT_EQ(lanes[i].next64(), oracles[i].next64())
+                << "lane " << i << " of " << counts.size();
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, LaneSampler,
+    ::testing::Combine(::testing::Values(ErrorPattern::oneBeat,
+                                         ErrorPattern::wholeEntry),
+                       ::testing::Values(LaneKernel::portable,
+                                         LaneKernel::avx2)),
+    [](const auto& info) -> std::string {
+        const bool beat = std::get<0>(info.param) == ErrorPattern::oneBeat;
+        if (std::get<1>(info.param) == LaneKernel::avx2)
+            return beat ? "Beat_avx2" : "Entry_avx2";
+        return beat ? "Beat_portable" : "Entry_portable";
+    });
+
+TEST(LaneSamplerDispatch, EveryPatternMatchesTheScalarSampler)
+{
+    // The host's own kernel choice, on every pattern: only 1 Beat and
+    // 1 Entry have a lock-step kernel, the rest draw lane by lane
+    // through sampleErrorMask.
+    const std::vector<std::uint64_t> counts = {50, 0, 17};
+    for (ErrorPattern p : allErrorPatterns()) {
+        std::vector<Rng> lanes = laneGenerators(p, counts.size());
+        std::vector<std::vector<Bits288>> masks(counts.size());
+        sampleErrorMasks(p, lanes, counts,
+                         [&](std::size_t lane, const Bits288& mask) {
+                             masks.at(lane).push_back(mask);
+                         });
+        std::vector<Rng> oracles = laneGenerators(p, counts.size());
+        for (std::size_t i = 0; i < counts.size(); ++i) {
+            ASSERT_EQ(masks[i].size(), counts[i]);
+            for (const Bits288& mask : masks[i])
+                ASSERT_EQ(mask, sampleErrorMask(p, oracles[i]))
+                    << patternInfo(p).label << " lane " << i;
+            ASSERT_EQ(lanes[i].next64(), oracles[i].next64());
+        }
+    }
 }
 
 } // namespace

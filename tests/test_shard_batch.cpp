@@ -105,6 +105,38 @@ TEST(ShardBatch, InvariantToChunkSize)
     }
 }
 
+TEST(ShardBatch, MultiBlockSampledShardsMatchScalar)
+{
+    // The kernel samples a shard's stream blocks several at a time in
+    // lock-step (sampleErrorMasks). One shard of 2, 3, 4 and 5 blocks,
+    // and one ending mid-block, must still equal the scalar oracle,
+    // which draws block after block.
+    const std::uint64_t block = kStreamBlockSamples;
+    for (const char* id : {"duet", "trio", "ssc-dsd+"}) {
+        const auto scheme = makeScheme(id);
+        const GoldenEntry golden = makeGolden(*scheme, kSeed);
+        auto arena = std::make_unique<ShardBatchArena>();
+        for (ErrorPattern p :
+             {ErrorPattern::oneBeat, ErrorPattern::wholeEntry}) {
+            for (std::uint64_t samples : {2 * block, 3 * block, 4 * block,
+                                          5 * block, 4 * block + 17}) {
+                const std::vector<Shard> shards =
+                    planShards(p, samples, samples);
+                ASSERT_EQ(shards.size(), 1u);
+                const OutcomeCounts scalar =
+                    evaluateShard(*scheme, golden, kSeed, shards[0]);
+                const OutcomeCounts batched = evaluateShardBatched(
+                    *scheme, golden, kSeed, shards[0], *arena);
+                EXPECT_EQ(batched.trials, samples);
+                EXPECT_TRUE(sameCounts(scalar, batched))
+                    << "scheme=" << id
+                    << " pattern=" << patternInfo(p).label
+                    << " samples=" << samples;
+            }
+        }
+    }
+}
+
 TEST(ShardBatch, MatchesScalarUnderBothBackends)
 {
     const std::uint64_t samples = 4096;

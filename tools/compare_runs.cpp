@@ -46,7 +46,9 @@ const char* const kThroughputKeys[] = {
     // blocks — how an RS SIMD decode regression on one backend is
     // caught even when the other backend's numbers hold.
     "decode_mops", "decode_batch_mops",
-    // sampleErrorMask front-end throughput per pattern.
+    // Mask-sampler throughput per pattern: sampleErrorMask
+    // (mask_sampling) and the lock-step sampleErrorMasks
+    // (lane_sampling).
     "sample_mops",
 };
 
